@@ -16,7 +16,8 @@
 //      bench asserts it).
 //
 // Methods cover both estimator families: PQ/SQ (DdcAny), OPQ, and the
-// projection-based DDCres whose records are whole rotated rows.
+// projection-based DDCres whose records are first-stage heads of the
+// rotated rows.
 #include <algorithm>
 #include <cstdio>
 #include <memory>

@@ -165,16 +165,13 @@ std::string DdcPcaComputer::code_tag() const {
     const uint64_t f = quant::FingerprintArray(
         rotated_base_->data(),
         static_cast<std::size_t>(rotated_base_->size()) * sizeof(float));
-    code_tag_ = quant::MakeCodeTag(
-        "ddc-pca", pca_->dim() * static_cast<int64_t>(sizeof(float)), 0,
-        size(), f);
+    code_tag_ = quant::MakeCodeTag("ddc-pca", HeadBytes(), 0, size(), f);
   }
   return code_tag_;
 }
 
 quant::CodeStore DdcPcaComputer::MakeCodeStore() const {
-  const int64_t code_size = pca_->dim() * static_cast<int64_t>(sizeof(float));
-  quant::CodeStore store(size(), code_size, 0, code_tag());
+  quant::CodeStore store(size(), HeadBytes(), 0, code_tag());
   for (int64_t i = 0; i < size(); ++i) {
     store.SetCode(i,
                   reinterpret_cast<const uint8_t*>(rotated_base_->Row(i)));
@@ -186,32 +183,34 @@ void DdcPcaComputer::EstimateBatchCodes(const uint8_t* codes,
                                         const int64_t* ids, int count,
                                         float tau,
                                         index::EstimateResult* out) {
-  (void)ids;  // the record carries the whole rotated row; no gathers at all
   const int64_t d0 = artifacts_->stage_dims[0];
-  const int64_t stride = quant::CodeRecordStride(
-      pca_->dim() * static_cast<int64_t>(sizeof(float)), 0);
+  const int64_t stride = quant::CodeRecordStride(HeadBytes(), 0);
   const float* q = active_rotated_query_;
-  const auto row = [codes, stride](int pos) {
-    return reinterpret_cast<const float*>(codes + pos * stride);
-  };
-  index::ScanBatch4(
-      row,
-      [q, d0](const float* const* rows, float* partial) {
-        simd::L2SqrBatch4(q, rows, static_cast<std::size_t>(d0), partial);
+  index::ScanHeadsThenRows(
+      [codes, stride](int pos) {
+        return reinterpret_cast<const float*>(codes + pos * stride);
       },
-      [this, row, tau, d0, out](int pos, float partial) {
+      [q, d0](const float* const* heads, float* partial) {
+        simd::L2SqrBatch4(q, heads, static_cast<std::size_t>(d0), partial);
+      },
+      [this, tau, d0, out](int pos, float partial) {
+        // The first step of ContinueFromFirstStage, which survivors re-run
+        // (and pass) on their full row below.
         ++stats_.candidates;
         stats_.dims_scanned += d0;
-        out[pos] = ContinueFromFirstStage(row(pos), tau, partial);
+        if (!std::isfinite(tau) ||
+            !artifacts_->correctors[0].PredictPrunable(partial, tau)) {
+          return false;
+        }
+        ++stats_.pruned;
+        out[pos] = {true, partial};
+        return true;
       },
-      [this, row, q, tau, d0, out](int pos) {
-        ++stats_.candidates;
-        const float* x = row(pos);
-        const float partial =
-            simd::L2Sqr(x, q, static_cast<std::size_t>(d0));
-        stats_.dims_scanned += d0;
+      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
+      [this, tau, out](int pos, const float* x, float partial) {
         out[pos] = ContinueFromFirstStage(x, tau, partial);
       },
+      static_cast<std::size_t>(d0), static_cast<std::size_t>(pca_->dim()),
       count);
 }
 

@@ -65,9 +65,10 @@ class DdcPcaComputer : public index::DistanceComputer {
                                               float tau) override;
   void EstimateBatch(const int64_t* ids, int count, float tau,
                      index::EstimateResult* out) override;
-  // Code-resident form; record = the full PCA-rotated row (dim() floats),
-  // so the whole cascade — later stages included — streams from the
-  // records without touching rotated_base_.
+  // Code-resident form; record = the first-stage head of the PCA-rotated
+  // row (stage_dims[0] floats). The first stage, which settles most
+  // candidates, streams from the records; survivors continue on their
+  // full row in rotated_base_, read by id.
   std::string code_tag() const override;
   quant::CodeStore MakeCodeStore() const override;
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
@@ -93,6 +94,10 @@ class DdcPcaComputer : public index::DistanceComputer {
   // are identical by construction.
   index::EstimateResult ContinueFromFirstStage(const float* x, float tau,
                                                float partial);
+  // Bytes of a code record: the first-stage head of the rotated row.
+  int64_t HeadBytes() const {
+    return artifacts_->stage_dims[0] * static_cast<int64_t>(sizeof(float));
+  }
 
   const linalg::PcaModel* pca_;
   const linalg::Matrix* rotated_base_;

@@ -166,22 +166,21 @@ void DdcResComputer::EstimateBatch(const int64_t* ids, int count, float tau,
 std::string DdcResComputer::code_tag() const {
   // Both variants (incremental / basic) read the layout identically, so
   // the tag is variant-independent and one attached store serves either.
+  if (stage_dims_.empty()) return {};
   if (code_tag_.empty()) {
     uint64_t f = quant::FingerprintArray(
         rotated_base_->data(),
         static_cast<std::size_t>(rotated_base_->size()) * sizeof(float));
     f = quant::FingerprintArray(norms_sqr_.data(),
                                 norms_sqr_.size() * sizeof(float), f);
-    code_tag_ = quant::MakeCodeTag(
-        "ddc-res", pca_->dim() * static_cast<int64_t>(sizeof(float)), 1,
-        size(), f);
+    code_tag_ = quant::MakeCodeTag("ddc-res", HeadBytes(), 1, size(), f);
   }
   return code_tag_;
 }
 
 quant::CodeStore DdcResComputer::MakeCodeStore() const {
-  const int64_t code_size = pca_->dim() * static_cast<int64_t>(sizeof(float));
-  quant::CodeStore store(size(), code_size, 1, code_tag());
+  if (stage_dims_.empty()) return {};
+  quant::CodeStore store(size(), HeadBytes(), 1, code_tag());
   for (int64_t i = 0; i < size(); ++i) {
     store.SetCode(i,
                   reinterpret_cast<const uint8_t*>(rotated_base_->Row(i)));
@@ -200,36 +199,36 @@ void DdcResComputer::EstimateBatchCodes(const uint8_t* codes,
     return;
   }
   const int64_t d0 = stage_dims_[0];
-  const int64_t code_size =
-      pca_->dim() * static_cast<int64_t>(sizeof(float));
+  const int64_t code_size = HeadBytes();
   const int64_t stride = quant::CodeRecordStride(code_size, 1);
   const float* q = active_rotated_query_;
-  const auto row = [codes, stride](int pos) {
-    return reinterpret_cast<const float*>(codes + pos * stride);
+  const auto c1 = [this, codes, stride, code_size](int pos) {
+    return quant::RecordSidecars(codes + pos * stride, code_size)[0] +
+           query_norm_sqr_;
   };
-  const auto norm = [codes, stride, code_size](int pos) {
-    return quant::RecordSidecars(codes + pos * stride, code_size)[0];
-  };
-  index::ScanBatch4(
-      row,
-      [q, d0](const float* const* rows, float* ip) {
-        simd::InnerProductBatch4(q, rows, static_cast<std::size_t>(d0), ip);
+  index::ScanHeadsThenRows(
+      [codes, stride](int pos) {
+        return reinterpret_cast<const float*>(codes + pos * stride);
       },
-      [this, row, norm, tau, d0, out](int pos, float ip) {
+      [q, d0](const float* const* heads, float* ip) {
+        simd::InnerProductBatch4(q, heads, static_cast<std::size_t>(d0), ip);
+      },
+      [this, c1, tau, d0, out](int pos, float ip) {
+        // The first step of ContinueFromFirstStage, which survivors re-run
+        // (and pass) on their full row below.
         ++stats_.candidates;
         stats_.dims_scanned += d0;
-        out[pos] = ContinueFromFirstStage(
-            row(pos), norm(pos) + query_norm_sqr_, tau, 2.0f * ip);
+        const float approx = c1(pos) - 2.0f * ip;
+        if (!(approx - active_stage_bounds_[0] > tau)) return false;
+        ++stats_.pruned;
+        out[pos] = {true, std::max(0.0f, approx)};
+        return true;
       },
-      [this, row, norm, q, tau, d0, out](int pos) {
-        ++stats_.candidates;
-        const float* x = row(pos);
-        const float c2 = 2.0f * simd::InnerProduct(
-                                    x, q, static_cast<std::size_t>(d0));
-        stats_.dims_scanned += d0;
-        out[pos] = ContinueFromFirstStage(x, norm(pos) + query_norm_sqr_,
-                                          tau, c2);
+      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
+      [this, c1, tau, out](int pos, const float* x, float ip) {
+        out[pos] = ContinueFromFirstStage(x, c1(pos), tau, 2.0f * ip);
       },
+      static_cast<std::size_t>(d0), static_cast<std::size_t>(pca_->dim()),
       count);
 }
 

@@ -59,9 +59,12 @@ class DdcResComputer : public index::DistanceComputer {
                                               float tau) override;
   void EstimateBatch(const int64_t* ids, int count, float tau,
                      index::EstimateResult* out) override;
-  // Code-resident form; record = [rotated row (dim() floats) | ||x||^2],
-  // so the C2 accumulation and the cascade stream entirely from the
-  // records. Both DdcRes variants (incremental or not) share one layout.
+  // Code-resident form; record = [first-stage head of the rotated row
+  // (stage_dims_[0] floats) | ||x||^2]. The first stage, which settles
+  // most candidates, streams from the records; survivors continue on
+  // their full row in rotated_base_, read by id. Both DdcRes variants
+  // (incremental or not) share one layout. Without a test stage
+  // (init_dim >= D) there is no code-resident form.
   std::string code_tag() const override;
   quant::CodeStore MakeCodeStore() const override;
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
@@ -90,6 +93,10 @@ class DdcResComputer : public index::DistanceComputer {
   // and code-resident first-stage paths. Requires non-empty stage_dims_.
   index::EstimateResult ContinueFromFirstStage(const float* x, float c1,
                                                float tau, float c2);
+  // Bytes of a record's code part: the first-stage head of the rotated row.
+  int64_t HeadBytes() const {
+    return stage_dims_[0] * static_cast<int64_t>(sizeof(float));
+  }
 
   const linalg::PcaModel* pca_;
   const linalg::Matrix* rotated_base_;

@@ -52,6 +52,67 @@ void ScanBatch4(RowFn&& row, Kernel4&& kernel4, LaneFn&& lane, TailFn&& tail,
   for (; i < count; ++i) tail(i);
 }
 
+// Candidates per ScanHeadsThenRows / EstimatePruneRefine chunk: the
+// callbacks never see more than this many positions per pass.
+inline constexpr int kRefineChunk = 32;
+
+// The code-stream scan of the rotated-row cascades (DDCpca, DDCres). Record
+// `pos` holds only the head of the candidate's rotated row — the first
+// `head_dims` floats, enough for the first stage — so most candidates are
+// decided without touching the full row. Per chunk of kRefineChunk
+// positions:
+//   1. Heads go through ScanBatch4 and `kernel4(heads, vals)`; a position
+//      in the final partial group is scored with its head repeated in every
+//      lane (lanes are independent, so the value is the one a full group
+//      would give). `settle(pos, value)` applies the first-stage decision
+//      and returns true when that settled the candidate. For each survivor
+//      the tail of `row(pos)` (the full row, dims [head_dims, row_dims)) is
+//      prefetched at once — up to kTailPrefetchLines cache lines; the
+//      hardware stream prefetcher follows a longer row — so the loads
+//      overlap the rest of the head scan.
+//   2. Survivors, in order: `resume(pos, row(pos), value)` continues the
+//      cascade from the second stage on the full row.
+// Each candidate's arithmetic is the one the id-gather path does, so the
+// results are bit-identical to it; stats stay with the callbacks.
+template <typename HeadFn, typename Kernel4, typename SettleFn, typename RowFn,
+          typename ResumeFn>
+void ScanHeadsThenRows(HeadFn&& head, Kernel4&& kernel4, SettleFn&& settle,
+                       RowFn&& row, ResumeFn&& resume, std::size_t head_dims,
+                       std::size_t row_dims, int count) {
+  constexpr std::size_t kLineFloats = 64 / sizeof(float);
+  constexpr std::size_t kTailPrefetchLines = 8;
+  const std::size_t prefetch_floats =
+      std::min(row_dims - head_dims, kTailPrefetchLines * kLineFloats);
+  int survivors[kRefineChunk];
+  float survivor_vals[kRefineChunk];
+  for (int start = 0; start < count; start += kRefineChunk) {
+    const int block = std::min(kRefineChunk, count - start);
+    int num_survivors = 0;
+    const auto lane = [&](int pos, float value) {
+      if (settle(pos, value)) return;
+      const float* tail = row(pos) + head_dims;
+      for (std::size_t f = 0; f < prefetch_floats; f += kLineFloats) {
+        RESINFER_PREFETCH(tail + f);
+      }
+      survivors[num_survivors] = pos;
+      survivor_vals[num_survivors++] = value;
+    };
+    ScanBatch4([&](int i) { return head(start + i); }, kernel4,
+               [&](int i, float value) { lane(start + i, value); },
+               [&](int i) {
+                 const float* heads[simd::kBatchWidth];
+                 std::fill_n(heads, simd::kBatchWidth, head(start + i));
+                 float vals[simd::kBatchWidth];
+                 kernel4(static_cast<const float* const*>(heads), vals);
+                 lane(start + i, vals[0]);
+               },
+               block);
+    for (int s = 0; s < num_survivors; ++s) {
+      resume(survivors[s], row(survivors[s]), survivor_vals[s]);
+    }
+  }
+}
+
 // Writes {false, L2Sqr(query, row(ids[p]))} to out[p] for each refined
 // position p. `row(id)` returns the candidate's d-float vector. `pick`
 // selects which positions of ids/out to refine (the survivor indices of a
@@ -92,10 +153,6 @@ void RefineExactL2(const float* query, std::size_t d, RowFn&& row,
 // callers ignore it. `prunable(approx, extra)` applies the corrector at
 // the caller's tau. Survivors are refined exactly via RefineExactL2 and
 // stats advance as the equivalent sequential loop would.
-// Candidates per EstimatePruneRefine chunk; the ApproxFn callback never
-// sees more than this many ids per call.
-inline constexpr int kRefineChunk = 32;
-
 template <typename RowFn, typename ApproxFn, typename PruneFn>
 void EstimatePruneRefine(const float* query, std::size_t d, RowFn&& row,
                          ApproxFn&& approx, PruneFn&& prunable,

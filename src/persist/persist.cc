@@ -135,15 +135,22 @@ void WriteMatrixPayload(BinaryWriter& writer, const linalg::Matrix& m) {
   writer.WriteFloats(m.data(), m.size());
 }
 
-bool ReadMatrixPayload(BinaryReader& reader, linalg::Matrix* out) {
-  int64_t rows = 0, cols = 0;
-  if (!reader.Read(&rows) || !reader.Read(&cols)) return false;
-  // Division-form bound check: rows * cols would overflow on hostile
-  // headers before a product-form comparison could reject them.
+// A matrix shape read from the file is plausible only if its floats can
+// still follow in the file (or section). Division-form bound check first:
+// rows * cols would overflow on hostile headers before a product-form
+// comparison could reject them.
+bool MatrixShapeFits(BinaryReader& reader, int64_t rows, int64_t cols) {
   if (rows < 0 || cols < 0 ||
       (cols > 0 && rows > reader.max_elements() / cols)) {
     return false;
   }
+  return reader.CheckCount(rows * cols, sizeof(float));
+}
+
+bool ReadMatrixPayload(BinaryReader& reader, linalg::Matrix* out) {
+  int64_t rows = 0, cols = 0;
+  if (!reader.Read(&rows) || !reader.Read(&cols)) return false;
+  if (!MatrixShapeFits(reader, rows, cols)) return false;
   *out = linalg::Matrix(rows, cols);
   return reader.ReadFloats(out->data(), out->size());
 }
@@ -240,10 +247,8 @@ Status ReadMatrixPrefix(BinaryReader& reader, const std::string& path,
       !reader.Read(cols)) {
     return Corrupt(reader, path, "bad matrix payload");
   }
-  if (*rows < 0 || *cols < 0 ||
-      (*cols > 0 && *rows > reader.max_elements() / *cols)) {
+  if (!MatrixShapeFits(reader, *rows, *cols))
     return Status::Corruption(path + ": implausible matrix shape");
-  }
   if (version >= kMatrixVersionAligned &&
       !reader.ReadAlignmentPad(kCacheLineBytes)) {
     return Corrupt(reader, path, "bad matrix alignment pad");
@@ -762,8 +767,10 @@ Status LoadIvf(const std::string& path, index::IvfIndex* out,
             !reader.ReadAlignmentPad(kCacheLineBytes)) {
           return Corrupt(reader, path, "truncated ivf code section");
         }
-        if (record_bytes > static_cast<uint64_t>(reader.max_elements()))
+        if (record_bytes > static_cast<uint64_t>(reader.max_elements()) ||
+            record_bytes > reader.BytesRemaining()) {
           return Status::Corruption(path + ": ivf code payload out of range");
+        }
         if (options.backend == storage::StorageBackend::kMmap) {
           map_offset = reader.Tell();
           if (map_offset < 0 ||

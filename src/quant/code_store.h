@@ -14,8 +14,8 @@
 // IvfIndex::AttachCodes) and estimators can stream records sequentially via
 // DistanceComputer::EstimateBatchCodes instead of gathering by id. Records
 // start at 4-byte-aligned offsets, so the sidecar floats (and float-typed
-// code payloads, e.g. the PCA-rotated rows DDCpca/DDCres use) can be read
-// in place.
+// code payloads, e.g. the PCA-rotated row heads DDCpca/DDCres use) can be
+// read in place.
 //
 // Ownership (PR 10): the record bytes live in a storage::Blob — a
 // shared-ownership handle whose backing may be a heap allocation or a
@@ -186,7 +186,7 @@ uint64_t FingerprintBytes(const void* data, std::size_t bytes,
 
 // Bounded-cost array fingerprint: hashes the length plus at most ~64KB of
 // evenly spaced chunks, so tagging a computer stays cheap even when the
-// records are the whole rotated base (DDCpca/DDCres at millions of rows).
+// tag covers the whole rotated base (DDCpca/DDCres at millions of rows).
 // Retrained artifacts differ essentially everywhere, so sampling still
 // catches staleness; this is a guard against accidental store/computer
 // mismatch, not an integrity MAC.

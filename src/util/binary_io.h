@@ -4,8 +4,9 @@
 //   * little-endian PODs (the library targets x86-64),
 //   * containers as  int64 count  followed by raw payload,
 //   * each file starts with a 8-byte magic and a uint32 version.
-// Readers never trust the payload: counts are bounds-checked against
-// sane limits and every read is checked, so truncated or corrupted files
+// Readers never trust the payload: every count is bounded by the bytes the
+// file can still deliver (BytesRemaining) before anything is allocated
+// from it, and every read is checked, so truncated or corrupted files
 // fail cleanly instead of over-allocating.
 //
 // Checksummed envelope (persist format v5, see docs/persistence.md): the
@@ -264,7 +265,16 @@ class BinaryReader {
   // corrupted counts causing huge allocations.
   explicit BinaryReader(const std::string& path,
                         int64_t max_elements = (1LL << 33))
-      : file_(std::fopen(path.c_str(), "rb")), max_elements_(max_elements) {}
+      : file_(std::fopen(path.c_str(), "rb")), max_elements_(max_elements) {
+    // The file's length, taken once: the outer bound of BytesRemaining.
+    if (file_ == nullptr) return;
+    if (std::fseek(file_, 0, SEEK_END) == 0) {
+      file_size_ = static_cast<int64_t>(std::ftell(file_));
+    }
+    if (file_size_ < 0 || std::fseek(file_, 0, SEEK_SET) != 0) {
+      Fail("cannot determine the file size");
+    }
+  }
 
   BinaryReader(const BinaryReader&) = delete;
   BinaryReader& operator=(const BinaryReader&) = delete;
@@ -293,6 +303,7 @@ class BinaryReader {
       Fail("unexpected end of file");
       return;
     }
+    position_ += static_cast<int64_t>(bytes);
     if (in_section_) section_crc_ = simd::Crc32c(section_crc_, data, bytes);
   }
 
@@ -303,15 +314,35 @@ class BinaryReader {
     return ok();
   }
 
+  // Bytes a loader can still consume: the rest of the file, and inside a
+  // section also no more than the rest of its declared payload. A count
+  // read from the file is checked against this before it sizes anything.
+  uint64_t BytesRemaining() const {
+    const uint64_t in_file =
+        !ok() || position_ > file_size_
+            ? 0
+            : static_cast<uint64_t>(file_size_ - position_);
+    return in_section_ && payload_remaining_ < in_file ? payload_remaining_
+                                                       : in_file;
+  }
+
+  // True when `count` elements of `element_bytes` each are within
+  // max_elements() and fit in BytesRemaining(); fails the reader
+  // otherwise.
+  bool CheckCount(int64_t count, std::size_t element_bytes) {
+    if (count < 0 || count > max_elements_ ||
+        static_cast<uint64_t>(count) > BytesRemaining() / element_bytes) {
+      Fail("container count out of range");
+      return false;
+    }
+    return true;
+  }
+
   template <typename T>
   bool ReadVector(std::vector<T>* v) {
     static_assert(std::is_trivially_copyable_v<T>);
     int64_t count = 0;
-    if (!Read(&count)) return false;
-    if (count < 0 || count > max_elements_) {
-      Fail("container count out of range");
-      return false;
-    }
+    if (!Read(&count) || !CheckCount(count, sizeof(T))) return false;
     v->resize(static_cast<std::size_t>(count));
     if (count > 0) ReadBytes(v->data(), v->size() * sizeof(T));
     return ok();
@@ -319,11 +350,7 @@ class BinaryReader {
 
   bool ReadString(std::string* s) {
     int64_t count = 0;
-    if (!Read(&count)) return false;
-    if (count < 0 || count > max_elements_) {
-      Fail("container count out of range");
-      return false;
-    }
+    if (!Read(&count) || !CheckCount(count, 1)) return false;
     s->resize(static_cast<std::size_t>(count));
     if (count > 0) ReadBytes(s->data(), s->size());
     return ok();
@@ -380,6 +407,7 @@ class BinaryReader {
       return false;
     }
     payload_remaining_ -= bytes;
+    position_ += static_cast<int64_t>(bytes);
     section_crc_skipped_ = true;
     return true;
   }
@@ -516,6 +544,8 @@ class BinaryReader {
 
   std::FILE* file_ = nullptr;
   bool failed_ = false;
+  int64_t file_size_ = -1;
+  int64_t position_ = 0;  // bytes consumed (read or skipped) so far
   int64_t max_elements_;
   std::string fail_reason_;
   bool checksummed_ = false;

@@ -139,19 +139,23 @@ TEST(DdcAnyTest, TrainedCorrectorMeetsTargetRecallOnTrainingSet) {
   EXPECT_GT(metrics.label1_recall, 0.3);  // it must actually prune
 }
 
+// Plain bytes only: gtest prints this parameter as a byte dump, and CTest
+// folds that dump into the discovered test names. A std::string member would
+// put a heap address there and give the tests a different name on every run.
 struct BackendCase {
-  std::string name;
+  char name[32];
   double min_recall;
 };
+static_assert(sizeof(BackendCase) == 40, "no padding bytes in the test name");
 
 class DdcAnyEndToEndTest : public ::testing::TestWithParam<BackendCase> {
  protected:
   std::unique_ptr<DdcAnyComputer> MakeComputer(const LinearCorrector* c) {
     AnyFixture& f = Fixture();
     std::unique_ptr<ApproxDistanceEstimator> estimator;
-    if (GetParam().name == "pq") {
+    if (std::string(GetParam().name) == "pq") {
       estimator = std::make_unique<PqAdcEstimator>(&f.pq);
-    } else if (GetParam().name == "rq") {
+    } else if (std::string(GetParam().name) == "rq") {
       estimator = std::make_unique<RqAdcEstimator>(&f.rq);
     } else {
       estimator = std::make_unique<SqAdcEstimator>(&f.sq);
@@ -165,9 +169,9 @@ class DdcAnyEndToEndTest : public ::testing::TestWithParam<BackendCase> {
     TrainingDataOptions training;
     training.max_queries = 150;
     std::unique_ptr<ApproxDistanceEstimator> estimator;
-    if (GetParam().name == "pq") {
+    if (std::string(GetParam().name) == "pq") {
       estimator = std::make_unique<PqAdcEstimator>(&f.pq);
-    } else if (GetParam().name == "rq") {
+    } else if (std::string(GetParam().name) == "rq") {
       estimator = std::make_unique<RqAdcEstimator>(&f.rq);
     } else {
       estimator = std::make_unique<SqAdcEstimator>(&f.sq);
@@ -235,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BackendCase{"pq", 0.92}, BackendCase{"rq", 0.92},
                       BackendCase{"sq", 0.95}),
     [](const ::testing::TestParamInfo<BackendCase>& info) {
-      return info.param.name;
+      return std::string(info.param.name);
     });
 
 TEST(DdcAnyTest, WorksInsideHnsw) {

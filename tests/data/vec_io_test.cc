@@ -1,5 +1,7 @@
 #include "data/vec_io.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -16,7 +18,12 @@ namespace {
 class VecIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "resinfer_vec_io_test";
+    // Unique per process: ctest -j runs each case (and its label twin) in
+    // its own process, and a shared directory would let one case's
+    // TearDown delete another's files mid-test.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("resinfer_vec_io_test_" +
+            std::to_string(static_cast<long long>(::getpid())));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -24,6 +24,7 @@
 #include "index/ivf_index.h"
 #include "quant/code_store.h"
 #include "simd/dispatch.h"
+#include "simd/kernels.h"
 #include "test_util.h"
 
 namespace resinfer::index {
@@ -272,6 +273,132 @@ TEST(CodeScanTest, IvfSearchWithAttachedCodesMatchesGatherSearch) {
         << name;
     EXPECT_EQ(gather_computer->stats().exact_computations,
               code_computer->stats().exact_computations)
+        << name;
+  }
+}
+
+TEST(CodeScanTest, RotatedRowRecordsHoldOnlyTheFirstStageHead) {
+  // DDCpca/DDCres records carry the first stage's head of the rotated row
+  // (plus DDCres's norm sidecar), not the whole row: the full rows stay in
+  // the rotated base, where only first-stage survivors read them.
+  CodeScanFixture& f = Fixture();
+  const int64_t float_bytes = static_cast<int64_t>(sizeof(float));
+  IvfOptions options;
+  options.num_clusters = 16;
+
+  core::DdcPcaComputer pca(&f.pca, &f.rotated, &f.pca_artifacts);
+  IvfIndex pca_ivf = IvfIndex::Build(f.ds.base, options);
+  ASSERT_TRUE(pca_ivf.AttachCodesFrom(pca));
+  EXPECT_EQ(pca_ivf.codes().code_size(),
+            f.pca_artifacts.stage_dims[0] * float_bytes);
+  EXPECT_EQ(pca_ivf.codes().num_sidecars(), 0);
+  EXPECT_LT(pca_ivf.codes().code_size(), f.ds.dim() * float_bytes);
+
+  core::DdcResOptions res_options;
+  res_options.init_dim = 8;
+  for (bool incremental : {true, false}) {
+    res_options.incremental = incremental;
+    core::DdcResComputer res(&f.pca, &f.rotated, res_options);
+    IvfIndex res_ivf = IvfIndex::Build(f.ds.base, options);
+    ASSERT_TRUE(res_ivf.AttachCodesFrom(res));
+    EXPECT_EQ(res_ivf.codes().code_size(), res_options.init_dim * float_bytes);
+    EXPECT_EQ(res_ivf.codes().num_sidecars(), 1);
+    EXPECT_EQ(res_ivf.codes().stride(),
+              quant::CodeRecordStride(res_options.init_dim * float_bytes, 1));
+  }
+
+  // No test stage (init_dim >= D): nothing to stream, so no code form.
+  res_options.init_dim = f.ds.dim();
+  core::DdcResComputer exact_only(&f.pca, &f.rotated, res_options);
+  EXPECT_TRUE(exact_only.code_tag().empty());
+  IvfIndex none = IvfIndex::Build(f.ds.base, options);
+  EXPECT_FALSE(none.AttachCodesFrom(exact_only));
+}
+
+// A store in the full-row layout rotated-row records had before they were
+// cut to the first-stage head: record = the whole rotated row (plus
+// ||x||^2 for DDCres), tagged with the full-row code size.
+quant::CodeStore FullRowStore(const std::string& method,
+                              const linalg::Matrix& rotated,
+                              const std::vector<float>* norms) {
+  const int64_t code_size =
+      rotated.cols() * static_cast<int64_t>(sizeof(float));
+  const int sidecars = norms != nullptr ? 1 : 0;
+  uint64_t f = quant::FingerprintArray(
+      rotated.data(), static_cast<std::size_t>(rotated.size()) * sizeof(float));
+  if (norms != nullptr) {
+    f = quant::FingerprintArray(norms->data(), norms->size() * sizeof(float),
+                                f);
+  }
+  quant::CodeStore store(
+      rotated.rows(), code_size, sidecars,
+      quant::MakeCodeTag(method, code_size, sidecars, rotated.rows(), f));
+  for (int64_t i = 0; i < rotated.rows(); ++i) {
+    store.SetCode(i, reinterpret_cast<const uint8_t*>(rotated.Row(i)));
+    if (norms != nullptr) store.SetSidecar(i, 0, (*norms)[i]);
+  }
+  return store;
+}
+
+TEST(CodeScanTest, FullRowStoresFallBackToGatherWithIdenticalAnswers) {
+  // An index saved before the head layout carries full-row records. Their
+  // tag names the old code size, so it matches no current computer:
+  // Search and SearchBatchRange take the gather path and answer exactly
+  // as an index without codes does.
+  CodeScanFixture& f = Fixture();
+  IvfOptions options;
+  options.num_clusters = 16;
+  IvfIndex plain = IvfIndex::Build(f.ds.base, options);
+
+  std::vector<float> norms(static_cast<std::size_t>(f.rotated.rows()));
+  for (int64_t i = 0; i < f.rotated.rows(); ++i) {
+    norms[static_cast<std::size_t>(i)] = simd::Norm2Sqr(
+        f.rotated.Row(i), static_cast<std::size_t>(f.rotated.cols()));
+  }
+  const int64_t full_bytes =
+      f.ds.dim() * static_cast<int64_t>(sizeof(float));
+  for (auto& [name, factory] : f.Factories()) {
+    if (name != "ddc-pca" && name != "ddc-res") continue;
+    IvfIndex legacy = IvfIndex::Build(f.ds.base, options);
+    legacy.AttachCodes(FullRowStore(name, f.rotated,
+                                    name == "ddc-res" ? &norms : nullptr));
+    ASSERT_EQ(legacy.codes().code_size(), full_bytes) << name;
+    EXPECT_NE(legacy.codes().tag().find(
+                  "/cs" + std::to_string(full_bytes) + "/"),
+              std::string::npos)
+        << name;
+
+    auto reference = factory();
+    auto computer = factory();
+    ASSERT_NE(legacy.codes().tag(), computer->code_tag()) << name;
+    for (int64_t q = 0; q < f.ds.queries.rows(); ++q) {
+      auto want = plain.Search(*reference, f.ds.queries.Row(q), 10, 6);
+      auto got = legacy.Search(*computer, f.ds.queries.Row(q), 10, 6);
+      ASSERT_EQ(want.size(), got.size()) << name;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].id, got[i].id) << name << " q=" << q;
+        EXPECT_EQ(want[i].distance, got[i].distance) << name << " q=" << q;
+      }
+    }
+    auto batch_want = plain.SearchBatch(*reference, f.ds.queries, 10, 6);
+    auto batch_got = legacy.SearchBatch(*computer, f.ds.queries, 10, 6);
+    ASSERT_EQ(batch_want.size(), batch_got.size()) << name;
+    for (std::size_t q = 0; q < batch_want.size(); ++q) {
+      ASSERT_EQ(batch_want[q].size(), batch_got[q].size()) << name;
+      for (std::size_t i = 0; i < batch_want[q].size(); ++i) {
+        EXPECT_EQ(batch_want[q][i].id, batch_got[q][i].id) << name;
+        EXPECT_EQ(batch_want[q][i].distance, batch_got[q][i].distance)
+            << name;
+      }
+    }
+    EXPECT_EQ(reference->stats().candidates, computer->stats().candidates)
+        << name;
+    EXPECT_EQ(reference->stats().pruned, computer->stats().pruned) << name;
+    EXPECT_EQ(reference->stats().dims_scanned,
+              computer->stats().dims_scanned)
+        << name;
+    EXPECT_EQ(reference->stats().exact_computations,
+              computer->stats().exact_computations)
         << name;
   }
 }

@@ -7,9 +7,12 @@
 // scan kernels cannot tell them apart — this suite is the proof, and the
 // CI matrix re-runs it (plus the serving suite) with RESINFER_STORAGE=mmap
 // to cover the env-default path end to end.
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ddc_any.h"
+#include "core/ddc_pca.h"
 #include "core/training_data.h"
 #include "index/batch.h"
 #include "index/distance_computer.h"
@@ -40,23 +44,32 @@ using storage::StorageBackend;
 constexpr int kK = 10;
 constexpr int kNprobe = 6;
 
-// One estimator route under test: how to make a fresh computer whose
-// code_tag matches the codes persisted with the index.
+// One estimator route under test: the v6 file saved with its codes, and
+// how to make a fresh computer whose code_tag matches them for an index
+// loaded with a given backend. Routes whose survivors read a cold tier
+// (ddc-pca's rotated rows) load that tier through the same backend; the PQ
+// routes ignore it.
 struct Route {
   std::string name;
-  index::ComputerFactory factory;
+  std::string path;
+  std::function<std::unique_ptr<DistanceComputer>(StorageBackend)> make;
 };
 
-// Trained artifacts + a v6 file on disk, built once (training dominates
-// the suite's runtime). Two routes: a byte-per-code PQ store and a packed
-// 4-bit one, so both record layouts cross the mmap boundary.
+// Trained artifacts + v6 files on disk, built once (training dominates
+// the suite's runtime). Three routes: a byte-per-code PQ store, a packed
+// 4-bit one, and DDCpca's float heads whose survivors continue on rotated
+// rows loaded by LoadMatrixMapped — so every record layout, and the
+// head-stream + row-gather split, cross the mmap boundary.
 struct ParityFixture {
   data::Dataset ds = testing::SmallDataset(1200, 32, 1.0, 205, 8, 140);
   core::PqEstimatorData pq_bytes;
   core::PqEstimatorData pq_packed;
   core::LinearCorrector bytes_corrector, packed_corrector;
+  linalg::PcaModel pca;
+  core::DdcPcaArtifacts pca_artifacts;
+  persist::MappedMatrix rotated_memory, rotated_mapped;
   std::filesystem::path dir;
-  std::string bytes_path, packed_path;
+  std::string bytes_path, packed_path, pca_path;
 
   ParityFixture() {
     index::IvfOptions options;
@@ -83,12 +96,28 @@ struct ParityFixture {
       packed_corrector = core::TrainAnyCorrector(estimator, ds.base,
                                                  ds.train_queries, training);
     }
+    pca = linalg::PcaModel::Fit(ds.base.data(), ds.size(), ds.dim());
+    const linalg::Matrix rotated =
+        pca.TransformBatch(ds.base.data(), ds.size());
+    {
+      core::DdcPcaOptions pca_options;
+      pca_options.init_dim = 8;
+      pca_options.delta_dim = 16;
+      pca_options.training = training;
+      pca_artifacts = core::TrainDdcPca(pca, rotated, ds.base,
+                                        ds.train_queries, pca_options);
+    }
 
+    // Unique per process: ctest -j runs each case (and the label twin) in
+    // its own process.
     dir = std::filesystem::temp_directory_path() /
-          "resinfer_storage_parity_test";
+          ("resinfer_storage_parity_test_" +
+           std::to_string(static_cast<long long>(::getpid())));
     std::filesystem::create_directories(dir);
     bytes_path = (dir / "ivf_bytes_v6.bin").string();
     packed_path = (dir / "ivf_packed_v6.bin").string();
+    pca_path = (dir / "ivf_pca_v6.bin").string();
+    const std::string rotated_path = (dir / "rotated.bin").string();
 
     ivf.AttachCodesFrom(*BytesFactory()());
     util::Status s = persist::SaveIvf(bytes_path, ivf);
@@ -96,7 +125,24 @@ struct ParityFixture {
     ivf.AttachCodesFrom(*PackedFactory()());
     s = persist::SaveIvf(packed_path, ivf);
     RESINFER_CHECK(s.ok());  // lint: allow-check
+    ivf.AttachCodesFrom(core::DdcPcaComputer(&pca, &rotated, &pca_artifacts));
+    s = persist::SaveIvf(pca_path, ivf);
+    RESINFER_CHECK(s.ok());  // lint: allow-check
+    s = persist::SaveMatrix(rotated_path, rotated);
+    RESINFER_CHECK(s.ok());  // lint: allow-check
+    s = persist::LoadMatrixMapped(rotated_path, &rotated_memory,
+                                  StorageBackend::kMemory);
+    RESINFER_CHECK(s.ok());  // lint: allow-check
+    s = persist::LoadMatrixMapped(rotated_path, &rotated_mapped,
+                                  StorageBackend::kMmap);
+    RESINFER_CHECK(s.ok());  // lint: allow-check
   }
+  ~ParityFixture() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir, ignored);
+  }
+  ParityFixture(const ParityFixture&) = delete;
+  ParityFixture& operator=(const ParityFixture&) = delete;
 
   index::ComputerFactory BytesFactory() {
     return [this] {
@@ -114,16 +160,23 @@ struct ParityFixture {
   }
 
   std::vector<Route> Routes() {
-    return {{"pq-bytes", BytesFactory()}, {"pq-packed", PackedFactory()}};
-  }
-  const std::string& PathFor(const Route& route) {
-    return route.name == "pq-bytes" ? bytes_path : packed_path;
+    return {{"pq-bytes", bytes_path,
+             [this](StorageBackend) { return BytesFactory()(); }},
+            {"pq-packed", packed_path,
+             [this](StorageBackend) { return PackedFactory()(); }},
+            {"ddc-pca", pca_path, [this](StorageBackend backend) {
+               const persist::MappedMatrix& rotated =
+                   backend == StorageBackend::kMmap ? rotated_mapped
+                                                    : rotated_memory;
+               return std::make_unique<core::DdcPcaComputer>(
+                   &pca, &rotated.matrix, &pca_artifacts);
+             }}};
   }
 };
 
 ParityFixture& Fixture() {
-  static ParityFixture* fixture = new ParityFixture();
-  return *fixture;
+  static ParityFixture fixture;
+  return fixture;
 }
 
 index::IvfIndex LoadWith(const std::string& path, StorageBackend backend) {
@@ -145,11 +198,12 @@ void ExpectSameStats(const ComputerStats& want, const ComputerStats& got,
 
 TEST(StorageParityTest, MmapLoadIsAZeroCopyViewOfTheFile) {
   ParityFixture& f = Fixture();
+  // The ddc-pca route's cold tier crosses the same boundary.
+  EXPECT_EQ(f.rotated_memory.backend, StorageBackend::kMemory);
+  EXPECT_EQ(f.rotated_mapped.backend, StorageBackend::kMmap);
   for (const Route& route : f.Routes()) {
-    index::IvfIndex memory = LoadWith(f.PathFor(route),
-                                      StorageBackend::kMemory);
-    index::IvfIndex mapped = LoadWith(f.PathFor(route),
-                                      StorageBackend::kMmap);
+    index::IvfIndex memory = LoadWith(route.path, StorageBackend::kMemory);
+    index::IvfIndex mapped = LoadWith(route.path, StorageBackend::kMmap);
     ASSERT_TRUE(memory.has_codes()) << route.name;
     ASSERT_TRUE(mapped.has_codes()) << route.name;
 
@@ -180,12 +234,10 @@ TEST(StorageParityTest, MmapLoadIsAZeroCopyViewOfTheFile) {
 TEST(StorageParityTest, SearchBitIdenticalAcrossBackendsAtEveryLevel) {
   ParityFixture& f = Fixture();
   for (const Route& route : f.Routes()) {
-    index::IvfIndex memory = LoadWith(f.PathFor(route),
-                                      StorageBackend::kMemory);
-    index::IvfIndex mapped = LoadWith(f.PathFor(route),
-                                      StorageBackend::kMmap);
-    auto memory_computer = route.factory();
-    auto mapped_computer = route.factory();
+    index::IvfIndex memory = LoadWith(route.path, StorageBackend::kMemory);
+    index::IvfIndex mapped = LoadWith(route.path, StorageBackend::kMmap);
+    auto memory_computer = route.make(StorageBackend::kMemory);
+    auto mapped_computer = route.make(StorageBackend::kMmap);
     // Both indexes must stream code-resident — a silent fall-back to the
     // gather path would make this suite vacuous.
     ASSERT_EQ(memory.codes().tag(), memory_computer->code_tag())
@@ -221,12 +273,10 @@ TEST(StorageParityTest, SearchBitIdenticalAcrossBackendsAtEveryLevel) {
 TEST(StorageParityTest, SearchBatchBitIdenticalAcrossBackends) {
   ParityFixture& f = Fixture();
   for (const Route& route : f.Routes()) {
-    index::IvfIndex memory = LoadWith(f.PathFor(route),
-                                      StorageBackend::kMemory);
-    index::IvfIndex mapped = LoadWith(f.PathFor(route),
-                                      StorageBackend::kMmap);
-    auto memory_computer = route.factory();
-    auto mapped_computer = route.factory();
+    index::IvfIndex memory = LoadWith(route.path, StorageBackend::kMemory);
+    index::IvfIndex mapped = LoadWith(route.path, StorageBackend::kMmap);
+    auto memory_computer = route.make(StorageBackend::kMemory);
+    auto mapped_computer = route.make(StorageBackend::kMmap);
     for (simd::SimdLevel level : simd::SupportedLevels()) {
       simd::ScopedSimdLevel guard(level);
       memory_computer->stats().Reset();

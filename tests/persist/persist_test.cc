@@ -527,6 +527,53 @@ TEST_F(PersistTest, IvfV4PackingTagMismatchFails) {
       << s.ToString();
 }
 
+TEST_F(PersistTest, CountBeyondTheFileIsRejectedBeforeAllocating) {
+  // A well-formed 493-byte ddc-pca artifacts file whose stage_dims vector
+  // declares 2^32 int64 elements (32 GiB). The count must be checked
+  // against the bytes the file still holds and fail as a Status — never
+  // sized into an allocation first (std::bad_alloc, or the OOM killer on
+  // an overcommitting host).
+  const std::string path = Path("huge_count.bin");
+  {
+    BinaryWriter writer(path);
+    const char magic[8] = {'R', 'I', 'D', 'P', 'C', 'A', 'A', '1'};
+    WriteHeader(writer, magic, /*version=*/2);
+    writer.BeginSection("stage_dims");
+    writer.Write<int64_t>(int64_t{1} << 32);
+    const std::vector<uint8_t> filler(441, 0);
+    writer.WriteBytes(filler.data(), filler.size());
+    writer.EndSection();
+    writer.WriteChecksumFooter();
+    ASSERT_TRUE(writer.Close());
+  }
+  ASSERT_EQ(std::filesystem::file_size(path), 493u);
+  core::DdcPcaArtifacts loaded;
+  util::Status s = LoadDdcPcaArtifacts(path, &loaded);
+  EXPECT_EQ(s.code(), util::StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("count out of range"), std::string::npos)
+      << s.ToString();
+
+  // Outside a section (pre-envelope files) the bound is the rest of the
+  // file: a count of 2^20 bytes followed by 16 is refused up front, not
+  // allocated and then found short ("unexpected end of file").
+  const std::string raw = Path("raw_count.bin");
+  {
+    BinaryWriter writer(raw);
+    writer.Write<int64_t>(int64_t{1} << 20);
+    const std::vector<uint8_t> payload(16, 7);
+    writer.WriteBytes(payload.data(), payload.size());
+    ASSERT_TRUE(writer.Close());
+  }
+  BinaryReader reader(raw);
+  EXPECT_EQ(reader.BytesRemaining(), 24u);
+  std::vector<uint8_t> bytes;
+  EXPECT_FALSE(reader.ReadVector(&bytes));
+  EXPECT_TRUE(bytes.empty());
+  EXPECT_NE(reader.fail_reason().find("count out of range"),
+            std::string::npos)
+      << reader.fail_reason();
+}
+
 TEST_F(PersistTest, IvfV3CodesSurviveSearchAfterLoad) {
   // End-to-end: the loaded index's code-resident search must equal the
   // in-memory index's search through the same estimator data.

@@ -7,6 +7,8 @@
 // accounting are pinned. The CI TSan job runs this suite.
 #include "serve/admission.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
@@ -330,8 +332,10 @@ TEST(ServingTest, MmapLoadedIndexServesBitIdenticalAnswers) {
   const int k = 10, nprobe = 6;
   const auto want = SoloAnswers(f, f.DdcPqFactory(), k, nprobe);
 
+  // Unique per process, so concurrent ctest processes never share it.
   const auto dir = std::filesystem::temp_directory_path() /
-                   "resinfer_serving_mmap_test";
+                   ("resinfer_serving_mmap_test_" +
+                    std::to_string(static_cast<long long>(::getpid())));
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "ivf_v6.bin").string();
   util::Status saved = persist::SaveIvf(path, f.ivf);

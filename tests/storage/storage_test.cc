@@ -5,6 +5,8 @@
 // file pins the byte-level contracts those tests build on.
 #include "storage/storage.h"
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -22,7 +24,12 @@ namespace {
 class StorageTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "resinfer_storage_test";
+    // Unique per process: ctest -j runs each case (and its label twin) in
+    // its own process, and a shared directory would let one case's
+    // TearDown delete another's files mid-test.
+    dir_ = std::filesystem::temp_directory_path() /
+           ("resinfer_storage_test_" +
+            std::to_string(static_cast<long long>(::getpid())));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
