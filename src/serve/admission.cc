@@ -34,7 +34,6 @@ IvfServer::IvfServer(const index::IvfIndex* index,
   RESINFER_CHECK(factory != nullptr);
   options_.max_group_size =
       std::clamp(options_.max_group_size, 1, index::kMaxQueryGroup);
-  options_.linger_micros = std::max<int64_t>(0, options_.linger_micros);
 
   computers_.reserve(static_cast<std::size_t>(executor_.num_threads()));
   for (int t = 0; t < executor_.num_threads(); ++t) {
@@ -55,7 +54,6 @@ IvfServer::IvfServer(const index::IvfIndex* index,
           quant::NearestCentroids(index_->centroids(),
                                   index_->centroids().Row(c), fanout);
     }
-    flusher_ = std::thread(&IvfServer::FlusherLoop, this);
   }
 }
 
@@ -85,20 +83,17 @@ std::future<std::vector<index::Neighbor>> IvfServer::Submit(
   const GroupKey key{k, nprobe, probes.front()};
 
   std::shared_ptr<PendingGroup> to_dispatch;
+  Trigger trigger = Trigger::kSolo;
   std::future<std::vector<index::Neighbor>> future;
-  bool new_group = false;
   {
     util::MutexLock lock(pending_mu_);
-    RESINFER_CHECK(accepting_);  // Submit after Shutdown is a caller bug
+    RESINFER_CHECK(!shut_down_);  // Submit after Shutdown is a caller bug
     std::shared_ptr<PendingGroup>* slot = nullptr;
     if (options_.coalesce) {
       auto [it, inserted] = pending_.try_emplace(key);
       if (inserted) {
         it->second = std::make_shared<PendingGroup>();
         it->second->key = key;
-        it->second->deadline =
-            admitted_at + std::chrono::microseconds(options_.linger_micros);
-        new_group = true;
       }
       slot = &it->second;
     } else {
@@ -112,23 +107,67 @@ std::future<std::vector<index::Neighbor>> IvfServer::Submit(
     group.admitted_at.push_back(admitted_at);
     group.promises.emplace_back();
     future = group.promises.back().get_future();
-    if (options_.coalesce && group.count() >= options_.max_group_size) {
+    if (!options_.coalesce) {
+      ++in_flight_;
+    } else if (group.count() >= options_.max_group_size) {
       to_dispatch = std::move(*slot);
       pending_.erase(key);
-      new_group = false;
+      trigger = Trigger::kFull;
+      ++in_flight_;
+    } else {
+      to_dispatch = TakeGroupForIdleWorker();
+      trigger = Trigger::kIdle;
     }
   }
   {
     util::MutexLock lock(stats_mu_);
     ++stats_.requests;
-    if (to_dispatch != nullptr && options_.coalesce) ++stats_.full_flushes;
   }
-  if (to_dispatch != nullptr) {
-    Dispatch(std::move(to_dispatch));
-  } else if (new_group) {
-    flusher_cv_.NotifyOne();  // a fresh deadline may now be the earliest
-  }
+  if (to_dispatch != nullptr) Dispatch(std::move(to_dispatch), trigger);
   return future;
+}
+
+std::shared_ptr<IvfServer::PendingGroup> IvfServer::TakeGroupForIdleWorker() {
+  if (pending_.empty() || in_flight_ >= executor_.num_threads()) {
+    return nullptr;
+  }
+  auto oldest = std::min_element(
+      pending_.begin(), pending_.end(), [](const auto& a, const auto& b) {
+        return a.second->admitted_at.front() < b.second->admitted_at.front();
+      });
+  std::shared_ptr<PendingGroup> group = std::move(oldest->second);
+  pending_.erase(oldest);
+  ++in_flight_;
+  // Top the group up to max_group_size with members of pending groups
+  // that share (k, nprobe), nearest lead centroid first: probe lists
+  // ride per member, so mixed leads stay bit-identical, and spatial
+  // adjacency keeps the co-probe sharing dense — this rebuilds the
+  // packing a pre-sorted batch enjoys (whose groups also span several
+  // adjacent leads) online, instead of stranding each lead in its own
+  // small dispatch.
+  const auto& neighbors =
+      centroid_neighbors_[static_cast<std::size_t>(group->key.lead_centroid)];
+  for (int32_t lead : neighbors) {
+    if (group->count() >= options_.max_group_size) break;
+    auto donor_it =
+        pending_.find(GroupKey{group->key.k, group->key.nprobe, lead});
+    if (donor_it == pending_.end()) continue;
+    TakeMembers(*donor_it->second, *group);
+    if (donor_it->second->count() == 0) pending_.erase(donor_it);
+  }
+  // Fallback beyond the neighbor fanout: with only a handful of pending
+  // groups (light load), amortizing the group overhead beats insisting
+  // on spatial adjacency, so take any same-(k, nprobe) donor.
+  auto donor_it =
+      pending_.lower_bound(GroupKey{group->key.k, group->key.nprobe, 0});
+  while (group->count() < options_.max_group_size &&
+         donor_it != pending_.end() && donor_it->first.k == group->key.k &&
+         donor_it->first.nprobe == group->key.nprobe) {
+    TakeMembers(*donor_it->second, *group);
+    donor_it = donor_it->second->count() == 0 ? pending_.erase(donor_it)
+                                              : ++donor_it;
+  }
+  return group;
 }
 
 // Moves as many members as still fit in `to` from the front of `from`.
@@ -156,11 +195,18 @@ void IvfServer::TakeMembers(PendingGroup& from, PendingGroup& to) {
                          from.admitted_at.begin() + take);
 }
 
-void IvfServer::Dispatch(std::shared_ptr<PendingGroup> group) {
+void IvfServer::Dispatch(std::shared_ptr<PendingGroup> group,
+                         Trigger trigger) {
   {
     util::MutexLock lock(stats_mu_);
     ++stats_.groups;
     stats_.group_occupancy.Add(static_cast<double>(group->count()));
+    switch (trigger) {
+      case Trigger::kSolo: break;
+      case Trigger::kFull: ++stats_.full_flushes; break;
+      case Trigger::kIdle: ++stats_.linger_flushes; break;
+      case Trigger::kDrain: ++stats_.drain_flushes; break;
+    }
   }
   // Pin the code storage for the lifetime of the dispatched work: the
   // handle shares ownership of the backing bytes (heap block or mmap of
@@ -206,85 +252,15 @@ void IvfServer::Dispatch(std::shared_ptr<PendingGroup> group) {
       group->promises[static_cast<std::size_t>(i)].set_value(
           std::move(results[static_cast<std::size_t>(i)]));
     }
-    // Capacity just freed: wake the flusher so a held group (adaptive
-    // batching under saturation) dispatches immediately, not on a poll.
-    flusher_cv_.NotifyOne();
-  });
-}
-
-void IvfServer::FlusherLoop() {
-  while (true) {
-    // One expired group is extracted per lock hold; the dispatch itself
-    // happens outside the critical section so Submit never blocks behind
-    // executor handoff.
-    std::shared_ptr<PendingGroup> group;
+    // This worker is free: hand it the oldest pending group, if any.
+    std::shared_ptr<PendingGroup> next;
     {
       util::MutexLock lock(pending_mu_);
-      if (stop_flusher_) return;
-      if (pending_.empty()) {
-        while (!stop_flusher_ && pending_.empty()) {
-          flusher_cv_.Wait(pending_mu_);
-        }
-        continue;
-      }
-      auto oldest = pending_.begin();
-      for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (it->second->deadline < oldest->second->deadline) oldest = it;
-      }
-      if (Clock::now() < oldest->second->deadline) {
-        flusher_cv_.WaitUntil(pending_mu_, oldest->second->deadline);
-        continue;  // re-evaluate: new groups / Flush / stop may have raced
-      }
-      // The oldest group has expired. If every worker already has queued
-      // follow-on work, dispatching now would only move its wait from the
-      // admission side into the executor queue — hold it instead, where it
-      // keeps coalescing with incoming traffic, and re-check as the queue
-      // drains (adaptive batching under saturation; see the header).
-      if (executor_.queued() >= executor_.num_threads()) {
-        // Workers notify flusher_cv_ as groups complete, so this wakes as
-        // soon as capacity frees; the timeout is only a safety net.
-        flusher_cv_.WaitFor(pending_mu_, std::chrono::milliseconds(1));
-        continue;
-      }
-      group = std::move(oldest->second);
-      pending_.erase(oldest);
-      // Top the group up to max_group_size with members of pending groups
-      // that share (k, nprobe), nearest lead centroid first: probe lists
-      // ride per member, so mixed leads stay bit-identical, and spatial
-      // adjacency keeps the co-probe sharing dense — this rebuilds the
-      // packing a pre-sorted batch enjoys (whose groups also span several
-      // adjacent leads) online, instead of stranding each lead in its own
-      // small dispatch. Donors keep their deadline for whatever remains.
-      const auto& neighbors = centroid_neighbors_[static_cast<std::size_t>(
-          group->key.lead_centroid)];
-      for (int32_t lead : neighbors) {
-        if (group->count() >= options_.max_group_size) break;
-        auto donor_it =
-            pending_.find(GroupKey{group->key.k, group->key.nprobe, lead});
-        if (donor_it == pending_.end()) continue;
-        TakeMembers(*donor_it->second, *group);
-        if (donor_it->second->count() == 0) pending_.erase(donor_it);
-      }
-      // Fallback beyond the neighbor fanout: with only a handful of pending
-      // groups (light load), amortizing the group overhead beats insisting
-      // on spatial adjacency, so take any same-(k, nprobe) donor.
-      auto donor_it =
-          pending_.lower_bound(GroupKey{group->key.k, group->key.nprobe, 0});
-      while (group->count() < options_.max_group_size &&
-             donor_it != pending_.end() &&
-             donor_it->first.k == group->key.k &&
-             donor_it->first.nprobe == group->key.nprobe) {
-        TakeMembers(*donor_it->second, *group);
-        donor_it = donor_it->second->count() == 0 ? pending_.erase(donor_it)
-                                                  : ++donor_it;
-      }
+      --in_flight_;
+      next = TakeGroupForIdleWorker();
     }
-    {
-      util::MutexLock stats_lock(stats_mu_);
-      ++stats_.linger_flushes;
-    }
-    Dispatch(std::move(group));
-  }
+    if (next != nullptr) Dispatch(std::move(next), Trigger::kIdle);
+  });
 }
 
 void IvfServer::Flush() {
@@ -294,12 +270,9 @@ void IvfServer::Flush() {
     drained.reserve(pending_.size());
     for (auto& [key, group] : pending_) drained.push_back(std::move(group));
     pending_.clear();
+    in_flight_ += static_cast<int64_t>(drained.size());
   }
-  {
-    util::MutexLock lock(stats_mu_);
-    stats_.drain_flushes += static_cast<int64_t>(drained.size());
-  }
-  for (auto& group : drained) Dispatch(std::move(group));
+  for (auto& group : drained) Dispatch(std::move(group), Trigger::kDrain);
 }
 
 void IvfServer::Shutdown() {
@@ -307,11 +280,7 @@ void IvfServer::Shutdown() {
     util::MutexLock lock(pending_mu_);
     if (shut_down_) return;
     shut_down_ = true;
-    accepting_ = false;
-    stop_flusher_ = true;
   }
-  flusher_cv_.NotifyAll();
-  if (flusher_.joinable()) flusher_.join();
   Flush();
   executor_.Shutdown();  // waits for every dispatched group to complete
 }

@@ -11,23 +11,26 @@
 // would perform first — handing the list to SearchBatchRange means it is
 // never paid twice) and files the request under the coalescing key
 // (k, nprobe, lead centroid). Requests sharing a key accumulate into a
-// pending group; a group is dispatched to the work-stealing executor when
+// pending group. Admission is work-conserving: a group is dispatched to
+// the work-stealing executor when
 //
+//   * a worker is free: fewer than num_threads groups are in flight (the
+//     oldest pending group goes, from Submit or from the worker that just
+//     completed a group — an idle dispatch), or
 //   * it reaches max_group_size members (a full flush), or
-//   * its oldest member has lingered past linger_micros (the bounded
-//     latency cost of waiting for co-probing traffic) AND a worker can
-//     actually take it, or
 //   * Flush()/Shutdown() drains it.
 //
-// The AND clause is adaptive batching under saturation: when every worker
-// already has queued follow-on work, dispatching an expired group would
-// only move its wait from the admission side into the executor queue, as
-// a needlessly small group. Holding it costs no end-to-end latency to
-// first order — the members wait either way — but lets the group keep
-// coalescing with incoming traffic, so occupancy (and throughput) rises
-// exactly when the system needs it. The linger budget is therefore the
-// bound on *voluntary idle* waiting; under backlog a request's wait is
-// queue-drain-dominated, as in any saturated server.
+// So requests wait and coalesce only while every worker is busy: that is
+// adaptive batching under saturation. Dispatching a group then would only
+// move its wait from the admission side into the executor queue, as a
+// needlessly small group; holding it costs no end-to-end latency to first
+// order (the members wait either way) but lets it keep coalescing with
+// incoming traffic, so occupancy (and throughput) rises exactly when the
+// system needs it. On an idle server no request waits for company.
+//
+// Submit and group completion count in-flight groups and pick the next
+// group under one lock, so no pending group can be left behind a free
+// worker: whenever a group is pending, every worker has a group.
 //
 // Dispatched groups run through SearchBatchRange, whose contract makes
 // every member's answer bit-identical to a solo Search(query, k, nprobe)
@@ -39,9 +42,9 @@
 // centroid agrees overlap heavily in their remaining probe lists (they are
 // close in space), so grouping by the lead captures most of the co-probe
 // sharing that full lexicographic sorting finds, at O(1) admission cost.
-// At dispatch the flusher additionally tops an expired group up to
+// An idle dispatch additionally tops the oldest group up to
 // max_group_size with members of pending same-(k, nprobe) groups whose
-// lead centroid is spatially closest to the expired group's lead (a
+// lead centroid is spatially closest to that group's lead (a
 // centroid-to-centroid neighbor ranking computed once at construction) —
 // each member carries its own probe list, so mixed leads stay
 // bit-identical — which rebuilds the dense packing of a pre-sorted batch
@@ -54,7 +57,6 @@
 #include <future>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "index/batch.h"
@@ -72,13 +74,6 @@ struct AdmissionOptions {
   // Coalescing cap per group, clamped to [1, index::kMaxQueryGroup] (the
   // grouped-scan tiling width — larger groups would be chunked anyway).
   int max_group_size = index::kMaxQueryGroup;
-  // How long a partial group may wait for co-probing traffic while a
-  // worker could serve it (see the header: under saturation an expired
-  // group is held longer and keeps coalescing, since dispatching it would
-  // only requeue the wait). The knob trades idle-system tail latency for
-  // occupancy; 100-500us covers one to a few query service times at
-  // serving-relevant sizes.
-  int64_t linger_micros = 200;
   // When false, every request is dispatched solo the moment it arrives —
   // the baseline an A/B against coalescing wants.
   bool coalesce = true;
@@ -88,12 +83,14 @@ struct ServingStats {
   int64_t requests = 0;
   int64_t groups = 0;           // groups dispatched
   int64_t full_flushes = 0;     // dispatched at max_group_size
-  int64_t linger_flushes = 0;   // dispatched by the linger deadline
+  // Dispatched because a worker was free (an idle dispatch; the name
+  // predates work-conserving admission).
+  int64_t linger_flushes = 0;
   int64_t drain_flushes = 0;    // dispatched by Flush()/Shutdown()
   // Members per dispatched group; mean() is the achieved occupancy.
   Histogram group_occupancy;
-  // Submit-to-completion wall per request (includes linger and queueing —
-  // the latency a client observes, not just the scan).
+  // Submit-to-completion wall per request (includes admission wait and
+  // queueing — the latency a client observes, not just the scan).
   Histogram latency_seconds;
   // Computer counters summed across workers. Each dispatched group's
   // counter delta is folded in under the stats mutex when its scan
@@ -129,12 +126,12 @@ class IvfServer {
                                                    int nprobe)
       RESINFER_EXCLUDES(pending_mu_, stats_mu_);
 
-  // Dispatches every pending group immediately, regardless of linger
-  // deadlines. Does not wait for them to finish.
+  // Dispatches every pending group immediately, even while every worker is
+  // busy. Does not wait for them to finish.
   void Flush() RESINFER_EXCLUDES(pending_mu_, stats_mu_);
 
-  // Stops the linger flusher, drains pending groups, and waits for every
-  // in-flight search to complete. Idempotent; the destructor calls it.
+  // Stops admission, drains pending groups, and waits for every in-flight
+  // search to complete. Idempotent; the destructor calls it.
   void Shutdown() RESINFER_EXCLUDES(pending_mu_, stats_mu_);
 
   // Safe to call at any time, including while searches are in flight.
@@ -163,21 +160,29 @@ class IvfServer {
     std::vector<float> queries;
     std::vector<int32_t> probes;
     std::vector<std::promise<std::vector<index::Neighbor>>> promises;
+    // Members are appended as they are filed; front() dates the group.
     std::vector<std::chrono::steady_clock::time_point> admitted_at;
-    std::chrono::steady_clock::time_point deadline;
     int64_t count() const {
       return static_cast<int64_t>(promises.size());
     }
   };
 
-  // Moves the group onto the executor.
-  void Dispatch(std::shared_ptr<PendingGroup> group)
+  // Which ServingStats flush counter a dispatch adds to.
+  enum class Trigger { kSolo, kFull, kIdle, kDrain };
+
+  // Moves the group onto the executor. The caller has already counted it
+  // in in_flight_.
+  void Dispatch(std::shared_ptr<PendingGroup> group, Trigger trigger)
       RESINFER_EXCLUDES(pending_mu_, stats_mu_);
+  // When a worker is free and a group is pending: removes the oldest
+  // pending group, topped up with nearest-lead donors, and counts it in
+  // in_flight_. Otherwise returns null.
+  std::shared_ptr<PendingGroup> TakeGroupForIdleWorker()
+      RESINFER_REQUIRES(pending_mu_);
   // Moves members from `from` into `to` up to max_group_size (both must
   // share (k, nprobe)).
   void TakeMembers(PendingGroup& from, PendingGroup& to)
       RESINFER_REQUIRES(pending_mu_);
-  void FlusherLoop() RESINFER_EXCLUDES(pending_mu_, stats_mu_);
 
   const index::IvfIndex* index_;
   int64_t dim_ = 0;
@@ -192,16 +197,15 @@ class IvfServer {
   std::vector<std::unique_ptr<index::DistanceComputer>> computers_;
 
   // Lock order: pending_mu_ and stats_mu_ are never held together —
-  // Submit, Dispatch, Flush, and the flusher all drop one before taking
-  // the other.
+  // Submit, Dispatch, Flush, and group completion all drop one before
+  // taking the other.
   mutable util::Mutex pending_mu_;
   std::map<GroupKey, std::shared_ptr<PendingGroup>> pending_
       RESINFER_GUARDED_BY(pending_mu_);
-  util::CondVar flusher_cv_;
-  bool accepting_ RESINFER_GUARDED_BY(pending_mu_) = true;
-  bool stop_flusher_ RESINFER_GUARDED_BY(pending_mu_) = false;
+  // Groups dispatched and not yet completed (queued or running). Whenever
+  // pending_ is non-empty, in_flight_ >= num_threads().
+  int64_t in_flight_ RESINFER_GUARDED_BY(pending_mu_) = 0;
   bool shut_down_ RESINFER_GUARDED_BY(pending_mu_) = false;
-  std::thread flusher_;
 
   mutable util::Mutex stats_mu_;
   ServingStats stats_ RESINFER_GUARDED_BY(stats_mu_);

@@ -104,12 +104,6 @@ class Executor {
 
   Stats stats() const;
 
-  // Tasks queued but not yet started, across every deque and the admission
-  // queue. A load-signal for admission layers: queued() >= num_threads()
-  // means every worker already has follow-on work, so dispatching more
-  // only moves waiting from the caller's side to the executor queue.
-  int64_t queued() const { return pending_.load(std::memory_order_relaxed); }
-
  private:
   struct Worker {
     util::Mutex mu;

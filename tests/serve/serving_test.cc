@@ -3,20 +3,23 @@
 // order, from any number of client threads, coalesced into whatever groups
 // traffic produced — must resolve to exactly the neighbors a solo
 // Search(query, k, nprobe) returns (ids and distances). On top of that,
-// the flush triggers (full group, linger expiry, drain) and the occupancy
-// accounting are pinned. The CI TSan job runs this suite.
+// the dispatch triggers (idle worker, full group, drain), holding while
+// every worker is busy, and the occupancy accounting are pinned. The CI
+// TSan job runs this suite.
 #include "serve/admission.h"
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <future>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,6 +37,41 @@ namespace {
 
 using index::DistanceComputer;
 using index::Neighbor;
+
+// Until Open() (call it once), every waiter blocks. Tests hold workers
+// inside their first group with it, so "every worker is busy" is a fact
+// rather than a timing assumption.
+class Gate {
+ public:
+  void Open() { open_.set_value(); }
+  std::shared_future<void> opened() const { return opened_; }
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> opened_ = open_.get_future().share();
+};
+
+// The exact computer, blocking at the start of every query or query group
+// until its gate opens.
+class GatedComputer : public index::FlatDistanceComputer {
+ public:
+  GatedComputer(const data::Dataset& ds, std::shared_future<void> opened)
+      : FlatDistanceComputer(ds.base.data(), ds.size(), ds.dim()),
+        opened_(std::move(opened)) {}
+
+  void BeginQuery(const float* query) override {
+    opened_.wait();
+    FlatDistanceComputer::BeginQuery(query);
+  }
+  void SetQueryBatch(const float* queries, int count,
+                     int64_t stride) override {
+    opened_.wait();
+    FlatDistanceComputer::SetQueryBatch(queries, count, stride);
+  }
+
+ private:
+  std::shared_future<void> opened_;
+};
 
 struct ServingFixture {
   data::Dataset ds = testing::SmallDataset(1500, 24, 1.0, 131, 40, 140);
@@ -63,6 +101,11 @@ struct ServingFixture {
     return [this] {
       return std::make_unique<index::FlatDistanceComputer>(
           ds.base.data(), ds.size(), ds.dim());
+    };
+  }
+  index::ComputerFactory GatedFactory(const Gate& gate) {
+    return [this, opened = gate.opened()] {
+      return std::make_unique<GatedComputer>(ds, opened);
     };
   }
   index::ComputerFactory DdcPqFactory() {
@@ -125,7 +168,6 @@ TEST(ServingTest, CoalescedAnswersBitIdenticalInAnyArrivalOrder) {
     AdmissionOptions options;
     options.num_threads = 2;
     options.max_group_size = 8;
-    options.linger_micros = 500;
     IvfServer server(&f.ivf, c.factory, options);
     std::vector<std::future<std::vector<Neighbor>>> futures(order.size());
     for (int64_t q : order) {
@@ -152,7 +194,6 @@ TEST(ServingTest, ConcurrentClientsGetTheirOwnAnswers) {
   AdmissionOptions options;
   options.num_threads = 2;
   options.max_group_size = 8;
-  options.linger_micros = 300;
   IvfServer server(&f.ivf, f.DdcPqFactory(), options);
   const int64_t n = f.ds.queries.rows();
   std::vector<std::future<std::vector<Neighbor>>> futures(
@@ -175,19 +216,20 @@ TEST(ServingTest, ConcurrentClientsGetTheirOwnAnswers) {
   }
 }
 
-TEST(ServingTest, LingerExpiryFlushesPartialGroups) {
+TEST(ServingTest, IdleWorkerDispatchesPartialGroupWithoutFlush) {
   ServingFixture& f = Fixture();
   AdmissionOptions options;
   options.num_threads = 1;
   options.max_group_size = 32;  // never fills with 3 requests
-  options.linger_micros = 2000;
   IvfServer server(&f.ivf, f.ExactFactory(), options);
   std::vector<std::future<std::vector<Neighbor>>> futures;
   for (int64_t q = 0; q < 3; ++q) {
     futures.push_back(server.Submit(f.ds.queries.Row(q), 5, 4));
   }
-  // No Flush, no Shutdown: only the linger deadline can release these.
+  // No Flush, no Shutdown: only a free worker can release these.
   for (auto& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready);
     EXPECT_FALSE(future.get().empty());
   }
   ServingStats stats = server.stats();
@@ -196,43 +238,99 @@ TEST(ServingTest, LingerExpiryFlushesPartialGroups) {
   EXPECT_EQ(stats.group_occupancy.sum(), 3.0);
 }
 
-TEST(ServingTest, FullGroupDispatchesWithoutWaitingForLinger) {
+TEST(ServingTest, FullGroupDispatchesWhileEveryWorkerIsBusy) {
   ServingFixture& f = Fixture();
+  Gate gate;
   AdmissionOptions options;
   options.num_threads = 1;
   options.max_group_size = 4;
-  options.linger_micros = 60'000'000;  // a minute: linger cannot be the cause
-  IvfServer server(&f.ivf, f.ExactFactory(), options);
+  IvfServer server(&f.ivf, f.GatedFactory(gate), options);
+  // The first request takes the only worker, and the gate holds it there.
+  auto first = server.Submit(f.ds.queries.Row(1), 5, 4);
   // The same query four times shares one coalescing key by construction.
   std::vector<std::future<std::vector<Neighbor>>> futures;
   for (int i = 0; i < 4; ++i) {
     futures.push_back(server.Submit(f.ds.queries.Row(0), 5, 4));
   }
+  // The fourth member fills the group, which dispatches without a free
+  // worker (EXPECT only until the gate opens: the server's destructor
+  // would wait for the held worker forever).
+  ServingStats stats = server.stats();
+  EXPECT_EQ(stats.full_flushes, 1);
+  EXPECT_EQ(stats.groups, 2);
+  EXPECT_DOUBLE_EQ(stats.group_occupancy.max(), 4.0);
+  gate.Open();
+  EXPECT_FALSE(first.get().empty());
   auto reference = futures[0].get();
   for (int i = 1; i < 4; ++i) {
     ExpectSameNeighbors(reference, futures[i].get(),
                         "duplicate " + std::to_string(i));
   }
+}
+
+TEST(ServingTest, HeldRequestsCoalesceWhileEveryWorkerIsBusy) {
+  ServingFixture& f = Fixture();
+  const int k = 5, nprobe = 4;
+  const auto want = SoloAnswers(f, f.ExactFactory(), k, nprobe);
+  Gate gate;
+  AdmissionOptions options;
+  options.num_threads = 1;
+  options.max_group_size = 32;
+  IvfServer server(&f.ivf, f.GatedFactory(gate), options);
+  // The first request takes the only worker, and the gate holds it there.
+  auto first = server.Submit(f.ds.queries.Row(0), k, nprobe);
+  // Same (k, nprobe), so the dispatch-time top-up may merge their keys.
+  constexpr int kHeld = 6;
+  std::vector<std::future<std::vector<Neighbor>>> futures;
+  for (int q = 1; q <= kHeld; ++q) {
+    futures.push_back(server.Submit(f.ds.queries.Row(q), k, nprobe));
+  }
+  // EXPECT only until the gate opens (see above).
+  EXPECT_EQ(server.stats().groups, 1);
+  EXPECT_EQ(server.stats().requests, kHeld + 1);
+  gate.Open();
+  ExpectSameNeighbors(want[0], first.get(), "q=0");
+  for (int q = 1; q <= kHeld; ++q) {
+    ExpectSameNeighbors(want[static_cast<std::size_t>(q)],
+                        futures[static_cast<std::size_t>(q - 1)].get(),
+                        "held q=" + std::to_string(q));
+  }
+  // The worker that finished the first group took every held request as
+  // one group.
   ServingStats stats = server.stats();
-  EXPECT_EQ(stats.full_flushes, 1);
-  EXPECT_EQ(stats.groups, 1);
-  EXPECT_DOUBLE_EQ(stats.MeanOccupancy(), 4.0);
+  EXPECT_EQ(stats.groups, 2);
+  EXPECT_DOUBLE_EQ(stats.group_occupancy.max(), kHeld);
+  EXPECT_EQ(stats.linger_flushes, 2);
+  EXPECT_EQ(stats.full_flushes, 0);
 }
 
 TEST(ServingTest, ShutdownDrainsInFlightWork) {
   ServingFixture& f = Fixture();
   const int k = 5, nprobe = 4;
   const auto want = SoloAnswers(f, f.ExactFactory(), k, nprobe);
+  Gate gate;
   AdmissionOptions options;
   options.num_threads = 2;
   options.max_group_size = 16;
-  options.linger_micros = 60'000'000;  // only the drain can release these
-  IvfServer server(&f.ivf, f.ExactFactory(), options);
+  IvfServer server(&f.ivf, f.GatedFactory(gate), options);
   std::vector<std::future<std::vector<Neighbor>>> futures;
   for (int64_t q = 0; q < f.ds.queries.rows(); ++q) {
     futures.push_back(server.Submit(f.ds.queries.Row(q), k, nprobe));
   }
+  // Both workers are held in their first group, so the rest is still
+  // pending when Shutdown drains it; the gate opens once the drain has
+  // dispatched (or after 10 s, so a failure reports instead of hanging).
+  std::thread opener([&] {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.stats().drain_flushes == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    gate.Open();
+  });
   server.Shutdown();  // must flush pending groups and wait for them
+  opener.join();
   for (std::size_t q = 0; q < futures.size(); ++q) {
     ASSERT_EQ(futures[q].wait_for(std::chrono::seconds(0)),
               std::future_status::ready)
@@ -245,12 +343,55 @@ TEST(ServingTest, ShutdownDrainsInFlightWork) {
   EXPECT_EQ(stats.latency_seconds.count(), f.ds.queries.rows());
 }
 
+TEST(ServingTest, NoRequestStrandsWhileAWorkerIsIdle) {
+  // Regression for a Submit-vs-completion race: a request filed as pending
+  // just as the last busy worker finishes must still be picked up, or it
+  // waits beside an idle worker for a Flush that never comes. Every future
+  // must resolve with no Flush or Shutdown.
+  ServingFixture& f = Fixture();
+  const int k = 5, nprobe = 4;
+  const auto want = SoloAnswers(f, f.DdcPqFactory(), k, nprobe);
+  AdmissionOptions options;
+  options.num_threads = 2;
+  options.max_group_size = 8;
+  IvfServer server(&f.ivf, f.DdcPqFactory(), options);
+  const int64_t n = f.ds.queries.rows();
+  constexpr int kClients = 4;
+  std::vector<std::vector<std::future<std::vector<Neighbor>>>> futures(
+      kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      // Each client sends the whole query set, from its own offset.
+      for (int64_t i = 0; i < n; ++i) {
+        const int64_t q = (i + c * n / kClients) % n;
+        futures[static_cast<std::size_t>(c)].push_back(
+            server.Submit(f.ds.queries.Row(q), k, nprobe));
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    for (int64_t i = 0; i < n; ++i) {
+      const int64_t q = (i + c * n / kClients) % n;
+      auto& future =
+          futures[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)];
+      ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
+                std::future_status::ready)
+          << "client " << c << " q=" << q;
+      ExpectSameNeighbors(want[static_cast<std::size_t>(q)], future.get(),
+                          "client " + std::to_string(c) + " q=" +
+                              std::to_string(q));
+    }
+  }
+  EXPECT_EQ(server.stats().drain_flushes, 0);
+}
+
 TEST(ServingTest, DifferentParametersNeverShareAGroup) {
   ServingFixture& f = Fixture();
   AdmissionOptions options;
   options.num_threads = 1;
   options.max_group_size = 32;
-  options.linger_micros = 1000;
   IvfServer server(&f.ivf, f.ExactFactory(), options);
   // Same query, three parameter sets: the answers must match the solo
   // search for each (k, nprobe), which a mixed group could not produce.
@@ -304,17 +445,20 @@ TEST(ServingTest, CoalescingOffServesEveryRequestSolo) {
 TEST(ServingTest, BackloggedTrafficCoalesces) {
   // With one worker and a burst of co-probing traffic, groups must form
   // (occupancy > 1): this is the property the serving bench quantifies.
+  // The gate keeps the worker in its first group until the burst is in,
+  // so the backlog does not depend on how the threads are scheduled.
   ServingFixture& f = Fixture();
+  Gate gate;
   AdmissionOptions options;
   options.num_threads = 1;
   options.max_group_size = 8;
-  options.linger_micros = 5000;
-  IvfServer server(&f.ivf, f.ExactFactory(), options);
+  IvfServer server(&f.ivf, f.GatedFactory(gate), options);
   std::vector<std::future<std::vector<Neighbor>>> futures;
   constexpr int kRepeats = 16;  // same query => same key, a full backlog
   for (int i = 0; i < kRepeats; ++i) {
     futures.push_back(server.Submit(f.ds.queries.Row(1), 5, 4));
   }
+  gate.Open();
   for (auto& future : futures) future.get();
   server.Shutdown();
   EXPECT_GE(server.stats().MeanOccupancy(), 2.0);
@@ -353,7 +497,6 @@ TEST(ServingTest, MmapLoadedIndexServesBitIdenticalAnswers) {
   AdmissionOptions options;
   options.num_threads = 2;
   options.max_group_size = 8;
-  options.linger_micros = 500;
   IvfServer server(&mapped, f.DdcPqFactory(), options);
   std::vector<std::future<std::vector<Neighbor>>> futures;
   for (int64_t q = 0; q < f.ds.queries.rows(); ++q) {
@@ -380,7 +523,6 @@ TEST(ServingTest, StatsSnapshotsAreCoherentDuringTraffic) {
   AdmissionOptions options;
   options.num_threads = 4;
   options.max_group_size = 8;
-  options.linger_micros = 50;
   IvfServer server(&f.ivf, f.DdcPqFactory(), options);
   constexpr int k = 10;
   constexpr int nprobe = 6;

@@ -54,7 +54,6 @@ void PrintUsage() {
       "  --serve         route queries one at a time through the\n"
       "                  coalescing admission queue (IVF only) instead of\n"
       "                  the pre-materialized batch runner\n"
-      "  --linger-us N   serve mode: group linger budget (default 200)\n"
       "  --group N       serve mode: max queries per coalesced group\n"
       "                  (default 32, capped at the grouped-scan width)\n"
       "  --storage KIND  memory|mmap: how the IVF code section is served\n"
@@ -162,7 +161,6 @@ int main(int argc, char** argv) {
   BatchOptions batch_options;
   batch_options.num_threads = static_cast<int>(args.GetInt("threads", 0));
   const bool serve = args.GetBool("serve", false);
-  const int64_t linger_us = args.GetInt("linger-us", 200);
   const int serve_group = static_cast<int>(args.GetInt("group", 32));
   // --storage overrides the RESINFER_STORAGE env default. mmap serves the
   // v6 code section zero-copy from the index file; results are
@@ -237,7 +235,6 @@ int main(int argc, char** argv) {
       resinfer::serve::AdmissionOptions serve_options;
       serve_options.num_threads = batch_options.num_threads;
       serve_options.max_group_size = serve_group;
-      serve_options.linger_micros = linger_us;
       resinfer::serve::IvfServer server(&ivf, factory, serve_options);
       std::vector<std::future<std::vector<resinfer::index::Neighbor>>>
           futures;
@@ -278,8 +275,8 @@ int main(int argc, char** argv) {
   std::printf("latency %s\n", batch.latency_seconds.Summary().c_str());
   if (serving_stats) {
     std::printf(
-        "serve occupancy=%.2f groups=%lld flushes full=%lld linger=%lld "
-        "drain=%lld\n",
+        "serve occupancy=%.2f groups=%lld flushes full/idle/drain="
+        "%lld/%lld/%lld\n",
         serving_stats->MeanOccupancy(),
         static_cast<long long>(serving_stats->groups),
         static_cast<long long>(serving_stats->full_flushes),
