@@ -106,16 +106,11 @@ void ApproxDistanceEstimator::EstimateBatchCodes(const uint8_t* /*records*/,
 
 void ApproxDistanceEstimator::SetQueryBatch(const float* queries, int count,
                                             int64_t stride) {
-  RESINFER_CHECK(queries != nullptr && count > 0 &&
-                 count <= index::kMaxQueryGroup && stride >= dim());
-  group_queries_ = queries;
-  group_count_ = count;
-  group_stride_ = stride;
+  batch_.Set(queries, count, stride, dim());
 }
 
 void ApproxDistanceEstimator::SelectQuery(int g) {
-  RESINFER_DCHECK(group_queries_ != nullptr && g >= 0 && g < group_count_);
-  BeginQuery(GroupQuery(g));
+  BeginQuery(batch_.query(g));
 }
 
 void ApproxDistanceEstimator::EstimateBatchCodesGroup(
@@ -128,98 +123,112 @@ void ApproxDistanceEstimator::EstimateBatchCodesGroup(
   }
 }
 
-PqAdcEstimator::PqAdcEstimator(const PqEstimatorData* data)
-    : data_(data), packed_(data != nullptr && data->pq.layout().packed()) {
+namespace {
+
+// Candidates per chunk of the quantizer estimators' batch kernels.
+constexpr int kChunk = 16;
+
+// The RQ form of CodeRecord: code, ||x̂||^2 and reconstruction error.
+struct RqRecord {
+  const uint8_t* code;
+  float recon_norm;
+  float recon_error;
+};
+
+// RqRecords off a bucket stream (see StreamRecords).
+auto RqStreamRecords(const uint8_t* records, int64_t stride,
+                     int64_t code_size) {
+  return [=](int pos) {
+    const uint8_t* rec = records + pos * stride;
+    const float* sidecars = quant::RecordSidecars(rec, code_size);
+    return RqRecord{rec, sidecars[0], sidecars[1]};
+  };
+}
+
+}  // namespace
+
+PqAdcEstimator::PqAdcEstimator(const PqEstimatorData* data) : data_(data) {
   RESINFER_CHECK(data != nullptr && data->pq.trained());
-  adc_table_.resize(static_cast<std::size_t>(data->pq.adc_table_size()));
-  active_table_ = adc_table_.data();
-  if (packed_) {
-    qlut_.resize(static_cast<std::size_t>(data->pq.fast_scan_lut_bytes()));
-    active_qlut_ = qlut_.data();
-  }
 }
 
 int64_t PqAdcEstimator::size() const {
   return static_cast<int64_t>(data_->recon_errors.size());
 }
 
-void PqAdcEstimator::BeginQuery(const float* query) {
-  data_->pq.ComputeAdcTable(query, adc_table_.data());
-  active_table_ = adc_table_.data();
-  if (packed_) {
-    data_->pq.QuantizeAdcTable(adc_table_.data(), qlut_.data(), &qscale_,
-                               &qbias_);
-    active_qlut_ = qlut_.data();
-    active_qscale_ = qscale_;
-    active_qbias_ = qbias_;
-  }
-}
-
-void PqAdcEstimator::SetQueryBatch(const float* queries, int count,
-                                   int64_t stride) {
-  ApproxDistanceEstimator::SetQueryBatch(queries, count, stride);
-  const int64_t table_size = data_->pq.adc_table_size();
-  group_tables_.resize(static_cast<std::size_t>(count * table_size));
-  const int64_t lut_bytes = packed_ ? data_->pq.fast_scan_lut_bytes() : 0;
-  if (packed_) {
-    group_qluts_.resize(static_cast<std::size_t>(count * lut_bytes));
-    group_qscales_.resize(static_cast<std::size_t>(count));
-    group_qbiases_.resize(static_cast<std::size_t>(count));
-  }
-  for (int g = 0; g < count; ++g) {
-    float* table = group_tables_.data() + g * table_size;
-    data_->pq.ComputeAdcTable(GroupQuery(g), table);
-    if (packed_) {
-      data_->pq.QuantizeAdcTable(
-          table, group_qluts_.data() + g * lut_bytes,
-          &group_qscales_[static_cast<std::size_t>(g)],
-          &group_qbiases_[static_cast<std::size_t>(g)]);
-    }
-  }
-}
-
-void PqAdcEstimator::SelectQuery(int g) {
-  RESINFER_DCHECK(g >= 0 && g < group_count_);
-  active_table_ = group_tables_.data() + g * data_->pq.adc_table_size();
-  if (packed_) {
-    active_qlut_ = group_qluts_.data() + g * data_->pq.fast_scan_lut_bytes();
-    active_qscale_ = group_qscales_[static_cast<std::size_t>(g)];
-    active_qbias_ = group_qbiases_[static_cast<std::size_t>(g)];
-  }
+void PqAdcEstimator::BuildQueryState(const float* query,
+                                     PqQueryState& state) {
+  state.Build(data_->pq, query);
 }
 
 float PqAdcEstimator::Estimate(int64_t id, float* extra) {
   *extra = data_->recon_errors[static_cast<std::size_t>(id)];
-  const uint8_t* code = data_->codes.data() + id * data_->pq.code_size();
-  if (packed_) {
-    return quant::PqCodebook::DequantizeFastScanSum(
-        simd::PqAdcFastScanOne(active_qlut_, data_->pq.num_subspaces(), code),
-        active_qscale_, active_qbias_);
+  return query_state().Estimate(
+      data_->pq, data_->codes.data() + id * data_->pq.code_size());
+}
+
+template <typename RecordFn>
+void PqAdcEstimator::ScoreBlock(RecordFn&& record, int count,
+                                const int* members, int num_members,
+                                float* out, float* extras) {
+  // Per member the group form is exactly the solo one (same 16-code
+  // chunks, same kernel lane order); the tile kernels evaluate each chunk
+  // for every member's table while the codes are hot. The packed tier
+  // tiles the quantized LUTs instead, sharing each chunk's nibble
+  // transpose across the group before the per-member dequantization.
+  RESINFER_DCHECK(num_members > 0 && num_members <= index::kMaxQueryGroup);
+  const bool packed = data_->pq.layout().packed();
+  const float* tables[index::kMaxQueryGroup];
+  const uint8_t* luts[index::kMaxQueryGroup];
+  for (int g = 0; members != nullptr && g < num_members; ++g) {
+    tables[g] = member_state(members[g]).table.data();
+    luts[g] = member_state(members[g]).lut.data();
   }
-  return data_->pq.AdcDistance(active_table_, code);
+  const uint8_t* codes[kChunk];
+  float tile[index::kMaxQueryGroup * kChunk];
+  uint16_t sums[index::kMaxQueryGroup * kChunk];
+  for (int i = 0; i < count; i += kChunk) {
+    const int block = std::min(kChunk, count - i);
+    for (int j = 0; j < block; ++j) {
+      const CodeRecord rec = record(i + j);
+      codes[j] = rec.code;
+      for (int g = 0; g < num_members; ++g) {
+        extras[static_cast<int64_t>(g) * count + i + j] = rec.recon_error;
+      }
+    }
+    if (members == nullptr) {
+      ScorePqChunk(data_->pq, query_state(), codes, block, out + i);
+      continue;
+    }
+    if (packed) {
+      simd::PqAdcFastScanTile(luts, num_members, data_->pq.num_subspaces(),
+                              codes, block, sums);
+    } else {
+      simd::PqAdcTile(tables, num_members, data_->pq.num_subspaces(),
+                      data_->pq.num_centroids(), codes, block, tile);
+    }
+    for (int g = 0; g < num_members; ++g) {
+      const PqQueryState& state = member_state(members[g]);
+      float* row = out + static_cast<int64_t>(g) * count + i;
+      for (int j = 0; j < block; ++j) {
+        row[j] = packed ? quant::PqCodebook::DequantizeFastScanSum(
+                              sums[g * block + j], state.scale, state.bias)
+                        : tile[g * block + j];
+      }
+    }
+  }
 }
 
 void PqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
                                    float* extras) {
-  constexpr int kChunk = 16;
-  const uint8_t* codes[kChunk];
-  const int64_t code_size = data_->pq.code_size();
-  for (int i = 0; i < count; i += kChunk) {
-    const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const int64_t id = ids[i + j];
-      codes[j] = data_->codes.data() + id * code_size;
-      extras[i + j] = data_->recon_errors[static_cast<std::size_t>(id)];
-    }
-    ScorePqChunk(data_->pq, packed_, active_table_, active_qlut_,
-                 active_qscale_, active_qbias_, codes, block, out + i);
-  }
+  ScoreBlock(GatherRecords(data_->codes.data(), data_->pq.code_size(),
+                           data_->recon_errors.data(), ids),
+             count, /*members=*/nullptr, 1, out, extras);
 }
 
 int64_t PqAdcEstimator::query_state_bytes() const {
   // Packed scans read only the quantized LUT (512B at m = 32) — small
   // enough that block-level member tiling always pays.
-  if (packed_) return data_->pq.fast_scan_lut_bytes();
+  if (data_->pq.layout().packed()) return data_->pq.fast_scan_lut_bytes();
   return data_->pq.adc_table_size() * static_cast<int64_t>(sizeof(float));
 }
 
@@ -253,156 +262,65 @@ quant::CodeStore PqAdcEstimator::MakeCodeStore() const {
 
 void PqAdcEstimator::EstimateBatchCodes(const uint8_t* records, int count,
                                         float* out, float* extras) {
-  // Same ADC accumulation as EstimateBatch, but code pointers and trust
-  // features come off the sequential record stream instead of id gathers.
-  constexpr int kChunk = 16;
-  const uint8_t* codes[kChunk];
-  const int64_t code_size = data_->pq.code_size();
-  const int64_t stride = code_record_stride();
-  for (int i = 0; i < count; i += kChunk) {
-    const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const uint8_t* rec = records + (i + j) * stride;
-      codes[j] = rec;
-      extras[i + j] = quant::RecordSidecars(rec, code_size)[0];
-    }
-    ScorePqChunk(data_->pq, packed_, active_table_, active_qlut_,
-                 active_qscale_, active_qbias_, codes, block, out + i);
-  }
+  ScoreBlock(StreamRecords(records, code_record_stride(),
+                           data_->pq.code_size()),
+             count, /*members=*/nullptr, 1, out, extras);
 }
 
 void PqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
                                              int count, const int* members,
                                              int num_members, float* out,
                                              float* extras) {
-  // Per member this is exactly EstimateBatchCodes (same 16-code chunks,
-  // same kernel lane order); the tile kernel evaluates each chunk for
-  // every member's table while the codes are hot. The packed tier tiles
-  // the quantized LUTs instead, sharing each chunk's nibble transpose
-  // across the group before the per-member dequantization.
-  constexpr int kChunk = 16;
-  const uint8_t* codes[kChunk];
-  RESINFER_DCHECK(num_members > 0 && num_members <= index::kMaxQueryGroup);
-  const int64_t code_size = data_->pq.code_size();
-  const int64_t stride = code_record_stride();
-  if (packed_) {
-    uint16_t tile[index::kMaxQueryGroup * kChunk];
-    const uint8_t* luts[index::kMaxQueryGroup];
-    const int64_t lut_bytes = data_->pq.fast_scan_lut_bytes();
-    for (int j = 0; j < num_members; ++j) {
-      RESINFER_DCHECK(members[j] >= 0 && members[j] < group_count_);
-      luts[j] = group_qluts_.data() + members[j] * lut_bytes;
-    }
-    for (int i = 0; i < count; i += kChunk) {
-      const int block = std::min(kChunk, count - i);
-      for (int j = 0; j < block; ++j) {
-        const uint8_t* rec = records + (i + j) * stride;
-        codes[j] = rec;
-        const float recon_error = quant::RecordSidecars(rec, code_size)[0];
-        for (int g = 0; g < num_members; ++g) {
-          extras[static_cast<int64_t>(g) * count + i + j] = recon_error;
-        }
-      }
-      simd::PqAdcFastScanTile(luts, num_members, data_->pq.num_subspaces(),
-                              codes, block, tile);
-      for (int g = 0; g < num_members; ++g) {
-        const float scale =
-            group_qscales_[static_cast<std::size_t>(members[g])];
-        const float bias =
-            group_qbiases_[static_cast<std::size_t>(members[g])];
-        float* row = out + static_cast<int64_t>(g) * count + i;
-        const uint16_t* sums = tile + g * block;
-        for (int j = 0; j < block; ++j) {
-          row[j] =
-              quant::PqCodebook::DequantizeFastScanSum(sums[j], scale, bias);
-        }
-      }
-    }
-    SelectQuery(members[num_members - 1]);
-    return;
-  }
-  float tile[index::kMaxQueryGroup * kChunk];
-  const float* tables[index::kMaxQueryGroup];
-  const int64_t table_size = data_->pq.adc_table_size();
-  for (int j = 0; j < num_members; ++j) {
-    RESINFER_DCHECK(members[j] >= 0 && members[j] < group_count_);
-    tables[j] = group_tables_.data() + members[j] * table_size;
-  }
-  for (int i = 0; i < count; i += kChunk) {
-    const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const uint8_t* rec = records + (i + j) * stride;
-      codes[j] = rec;
-      const float recon_error = quant::RecordSidecars(rec, code_size)[0];
-      for (int g = 0; g < num_members; ++g) {
-        extras[static_cast<int64_t>(g) * count + i + j] = recon_error;
-      }
-    }
-    simd::PqAdcTile(tables, num_members, data_->pq.num_subspaces(),
-                    data_->pq.num_centroids(), codes, block, tile);
-    for (int g = 0; g < num_members; ++g) {
-      std::copy(tile + g * block, tile + (g + 1) * block,
-                out + static_cast<int64_t>(g) * count + i);
-    }
-  }
+  ScoreBlock(StreamRecords(records, code_record_stride(),
+                           data_->pq.code_size()),
+             count, members, num_members, out, extras);
   SelectQuery(members[num_members - 1]);
 }
 
 RqAdcEstimator::RqAdcEstimator(const RqEstimatorData* data) : data_(data) {
   RESINFER_CHECK(data != nullptr && data->rq.trained());
-  ip_table_.resize(static_cast<std::size_t>(data->rq.ip_table_size()));
-  active_table_ = ip_table_.data();
 }
 
 int64_t RqAdcEstimator::size() const {
   return static_cast<int64_t>(data_->recon_errors.size());
 }
 
-void RqAdcEstimator::BeginQuery(const float* query) {
-  data_->rq.ComputeIpTable(query, ip_table_.data());
-  query_norm_sqr_ =
+void RqAdcEstimator::BuildQueryState(const float* query,
+                                     RqAdcQueryState& state) {
+  state.ip_table.resize(static_cast<std::size_t>(data_->rq.ip_table_size()));
+  data_->rq.ComputeIpTable(query, state.ip_table.data());
+  state.norm_sqr =
       simd::Norm2Sqr(query, static_cast<std::size_t>(data_->rq.dim()));
-  active_table_ = ip_table_.data();
-}
-
-void RqAdcEstimator::SetQueryBatch(const float* queries, int count,
-                                   int64_t stride) {
-  ApproxDistanceEstimator::SetQueryBatch(queries, count, stride);
-  const int64_t table_size = data_->rq.ip_table_size();
-  group_tables_.resize(static_cast<std::size_t>(count * table_size));
-  group_norms_.resize(static_cast<std::size_t>(count));
-  for (int g = 0; g < count; ++g) {
-    const float* q = GroupQuery(g);
-    data_->rq.ComputeIpTable(q, group_tables_.data() + g * table_size);
-    group_norms_[static_cast<std::size_t>(g)] =
-        simd::Norm2Sqr(q, static_cast<std::size_t>(data_->rq.dim()));
-  }
-}
-
-void RqAdcEstimator::SelectQuery(int g) {
-  RESINFER_DCHECK(g >= 0 && g < group_count_);
-  active_table_ = group_tables_.data() + g * data_->rq.ip_table_size();
-  query_norm_sqr_ = group_norms_[static_cast<std::size_t>(g)];
 }
 
 float RqAdcEstimator::Estimate(int64_t id, float* extra) {
   *extra = data_->recon_errors[static_cast<std::size_t>(id)];
+  const RqAdcQueryState& state = query_state();
   return data_->rq.AdcDistance(
-      active_table_, query_norm_sqr_,
+      state.ip_table.data(), state.norm_sqr,
       data_->codes.data() + id * data_->rq.code_size(),
       data_->recon_norms[static_cast<std::size_t>(id)]);
 }
 
-void RqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
-                                   float* extras) {
+template <typename RecordFn>
+void RqAdcEstimator::ScoreBlock(RecordFn&& record, int count,
+                                const int* members, int num_members,
+                                float* out, float* extras) {
   // The RQ ADC is q·q - 2 q·x̂ + x̂·x̂; the table-lookup sum q·x̂ shares the
-  // PQ accumulation kernel, the affine combine mirrors RqCodebook's
-  // expression order so lanes stay bit-identical to Estimate(). Packed
-  // codebooks unpack each chunk's nibbles first (same values, same order).
-  constexpr int kChunk = 16;
+  // PQ accumulation kernel (tiled across the members' tables in the group
+  // form), and the affine combine mirrors RqCodebook's expression order so
+  // lanes stay bit-identical to Estimate(). Packed codebooks unpack each
+  // chunk's nibbles first (same values, same order).
+  RESINFER_DCHECK(num_members > 0 && num_members <= index::kMaxQueryGroup);
+  const RqAdcQueryState* states[index::kMaxQueryGroup];
+  const float* tables[index::kMaxQueryGroup];
+  for (int g = 0; g < num_members; ++g) {
+    states[g] = members != nullptr ? &member_state(members[g]) : &query_state();
+    tables[g] = states[g]->ip_table.data();
+  }
   const uint8_t* codes[kChunk];
-  float ip[kChunk];
-  const int64_t code_size = data_->rq.code_size();
+  float norms[kChunk];
+  float tile[index::kMaxQueryGroup * kChunk];
   const int stages = data_->rq.num_stages();
   const bool packed = data_->rq.layout().packed();
   if (packed) {
@@ -411,25 +329,46 @@ void RqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
   for (int i = 0; i < count; i += kChunk) {
     const int block = std::min(kChunk, count - i);
     for (int j = 0; j < block; ++j) {
-      const int64_t id = ids[i + j];
-      const uint8_t* code = data_->codes.data() + id * code_size;
+      const RqRecord rec = record(i + j);
       if (packed) {
         uint8_t* row = unpack_scratch_.data() + j * stages;
-        quant::UnpackCodes4(code, stages, row);
+        quant::UnpackCodes4(rec.code, stages, row);
         codes[j] = row;
       } else {
-        codes[j] = code;
+        codes[j] = rec.code;
       }
-      extras[i + j] = data_->recon_errors[static_cast<std::size_t>(id)];
+      norms[j] = rec.recon_norm;
+      for (int g = 0; g < num_members; ++g) {
+        extras[static_cast<int64_t>(g) * count + i + j] = rec.recon_error;
+      }
     }
-    simd::PqAdcBatch(active_table_, stages, data_->rq.num_centroids(),
-                     codes, block, ip);
-    for (int j = 0; j < block; ++j) {
-      out[i + j] =
-          query_norm_sqr_ - 2.0f * ip[j] +
-          data_->recon_norms[static_cast<std::size_t>(ids[i + j])];
+    if (members == nullptr) {
+      simd::PqAdcBatch(tables[0], stages, data_->rq.num_centroids(), codes,
+                       block, tile);
+    } else {
+      simd::PqAdcTile(tables, num_members, stages, data_->rq.num_centroids(),
+                      codes, block, tile);
+    }
+    for (int g = 0; g < num_members; ++g) {
+      float* row = out + static_cast<int64_t>(g) * count + i;
+      const float* ip = tile + g * block;
+      for (int j = 0; j < block; ++j) {
+        row[j] = states[g]->norm_sqr - 2.0f * ip[j] + norms[j];
+      }
     }
   }
+}
+
+void RqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
+                                   float* extras) {
+  const int64_t code_size = data_->rq.code_size();
+  ScoreBlock(
+      [this, ids, code_size](int pos) {
+        const auto id = static_cast<std::size_t>(ids[pos]);
+        return RqRecord{data_->codes.data() + id * code_size,
+                        data_->recon_norms[id], data_->recon_errors[id]};
+      },
+      count, /*members=*/nullptr, 1, out, extras);
 }
 
 int64_t RqAdcEstimator::query_state_bytes() const {
@@ -470,97 +409,18 @@ quant::CodeStore RqAdcEstimator::MakeCodeStore() const {
 
 void RqAdcEstimator::EstimateBatchCodes(const uint8_t* records, int count,
                                         float* out, float* extras) {
-  // Mirrors EstimateBatch: shared table-lookup kernel, then the affine
-  // combine in RqCodebook's expression order; the reconstruction norm and
-  // trust feature are the record's sidecar floats (bit-equal to the
-  // id-indexed arrays they were packed from).
-  constexpr int kChunk = 16;
-  const uint8_t* codes[kChunk];
-  float ip[kChunk];
-  float norms[kChunk];
-  const int64_t code_size = data_->rq.code_size();
-  const int64_t stride = code_record_stride();
-  const int stages = data_->rq.num_stages();
-  const bool packed = data_->rq.layout().packed();
-  if (packed) {
-    unpack_scratch_.resize(static_cast<std::size_t>(kChunk) * stages);
-  }
-  for (int i = 0; i < count; i += kChunk) {
-    const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const uint8_t* rec = records + (i + j) * stride;
-      const float* sidecars = quant::RecordSidecars(rec, code_size);
-      if (packed) {
-        uint8_t* row = unpack_scratch_.data() + j * stages;
-        quant::UnpackCodes4(rec, stages, row);
-        codes[j] = row;
-      } else {
-        codes[j] = rec;
-      }
-      norms[j] = sidecars[0];
-      extras[i + j] = sidecars[1];
-    }
-    simd::PqAdcBatch(active_table_, stages, data_->rq.num_centroids(),
-                     codes, block, ip);
-    for (int j = 0; j < block; ++j) {
-      out[i + j] = query_norm_sqr_ - 2.0f * ip[j] + norms[j];
-    }
-  }
+  ScoreBlock(RqStreamRecords(records, code_record_stride(),
+                             data_->rq.code_size()),
+             count, /*members=*/nullptr, 1, out, extras);
 }
 
 void RqAdcEstimator::EstimateBatchCodesGroup(const uint8_t* records,
                                              int count, const int* members,
                                              int num_members, float* out,
                                              float* extras) {
-  // Table-lookup stage tiled across the members' IP tables; each member's
-  // affine combine keeps EstimateBatchCodes' expression order, so lanes
-  // stay bit-identical to the per-member path.
-  constexpr int kChunk = 16;
-  const uint8_t* codes[kChunk];
-  float norms[kChunk];
-  float tile[index::kMaxQueryGroup * kChunk];
-  const float* tables[index::kMaxQueryGroup];
-  RESINFER_DCHECK(num_members > 0 && num_members <= index::kMaxQueryGroup);
-  const int64_t table_size = data_->rq.ip_table_size();
-  for (int j = 0; j < num_members; ++j) {
-    RESINFER_DCHECK(members[j] >= 0 && members[j] < group_count_);
-    tables[j] = group_tables_.data() + members[j] * table_size;
-  }
-  const int64_t code_size = data_->rq.code_size();
-  const int64_t stride = code_record_stride();
-  const int stages = data_->rq.num_stages();
-  const bool packed = data_->rq.layout().packed();
-  if (packed) {
-    unpack_scratch_.resize(static_cast<std::size_t>(kChunk) * stages);
-  }
-  for (int i = 0; i < count; i += kChunk) {
-    const int block = std::min(kChunk, count - i);
-    for (int j = 0; j < block; ++j) {
-      const uint8_t* rec = records + (i + j) * stride;
-      const float* sidecars = quant::RecordSidecars(rec, code_size);
-      if (packed) {
-        uint8_t* row = unpack_scratch_.data() + j * stages;
-        quant::UnpackCodes4(rec, stages, row);
-        codes[j] = row;
-      } else {
-        codes[j] = rec;
-      }
-      norms[j] = sidecars[0];
-      for (int g = 0; g < num_members; ++g) {
-        extras[static_cast<int64_t>(g) * count + i + j] = sidecars[1];
-      }
-    }
-    simd::PqAdcTile(tables, num_members, stages,
-                    data_->rq.num_centroids(), codes, block, tile);
-    for (int g = 0; g < num_members; ++g) {
-      const float qnorm = group_norms_[static_cast<std::size_t>(members[g])];
-      float* row = out + static_cast<int64_t>(g) * count + i;
-      const float* ip = tile + g * block;
-      for (int j = 0; j < block; ++j) {
-        row[j] = qnorm - 2.0f * ip[j] + norms[j];
-      }
-    }
-  }
+  ScoreBlock(RqStreamRecords(records, code_record_stride(),
+                             data_->rq.code_size()),
+             count, members, num_members, out, extras);
   SelectQuery(members[num_members - 1]);
 }
 
@@ -578,28 +438,36 @@ float SqAdcEstimator::Estimate(int64_t id, float* extra) {
   return data_->sq.AdcDistance(query_, data_->codes.data() + id * dim());
 }
 
-void SqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
-                                   float* extras) {
+template <typename RecordFn>
+void SqAdcEstimator::ScoreBlock(RecordFn&& record, int count, float* out,
+                                float* extras) {
   RESINFER_DCHECK(query_ != nullptr);
-  const int64_t d = dim();
-  const std::size_t n = static_cast<std::size_t>(d);
+  const std::size_t n = static_cast<std::size_t>(dim());
   const float* q = query_;
   const float* vmin = data_->sq.vmin().data();
   const float* step = data_->sq.step().data();
   index::ScanBatch4(
-      [this, ids, d](int pos) { return data_->codes.data() + ids[pos] * d; },
+      [&record](int pos) { return record(pos).code; },
       [q, vmin, step, n](const uint8_t* const* codes, float* vals) {
         simd::SqAdcL2SqrBatch4(q, codes, vmin, step, n, vals);
       },
-      [this, ids, out, extras](int pos, float val) {
+      [&record, out, extras](int pos, float val) {
         out[pos] = val;
-        extras[pos] =
-            data_->recon_errors[static_cast<std::size_t>(ids[pos])];
+        extras[pos] = record(pos).recon_error;
       },
-      [this, ids, out, extras](int pos) {
-        out[pos] = Estimate(ids[pos], &extras[pos]);
+      [this, &record, out, extras](int pos) {
+        const CodeRecord rec = record(pos);
+        extras[pos] = rec.recon_error;
+        out[pos] = data_->sq.AdcDistance(query_, rec.code);
       },
       count);
+}
+
+void SqAdcEstimator::EstimateBatch(const int64_t* ids, int count, float* out,
+                                   float* extras) {
+  ScoreBlock(GatherRecords(data_->codes.data(), data_->sq.code_size(),
+                           data_->recon_errors.data(), ids),
+             count, out, extras);
 }
 
 std::string SqAdcEstimator::code_tag() const {
@@ -631,29 +499,9 @@ quant::CodeStore SqAdcEstimator::MakeCodeStore() const {
 
 void SqAdcEstimator::EstimateBatchCodes(const uint8_t* records, int count,
                                         float* out, float* extras) {
-  RESINFER_DCHECK(query_ != nullptr);
-  const int64_t d = dim();
-  const std::size_t n = static_cast<std::size_t>(d);
-  const int64_t stride = code_record_stride();
-  const float* q = query_;
-  const float* vmin = data_->sq.vmin().data();
-  const float* step = data_->sq.step().data();
-  index::ScanBatch4(
-      [records, stride](int pos) { return records + pos * stride; },
-      [q, vmin, step, n](const uint8_t* const* codes, float* vals) {
-        simd::SqAdcL2SqrBatch4(q, codes, vmin, step, n, vals);
-      },
-      [records, stride, d, out, extras](int pos, float val) {
-        out[pos] = val;
-        extras[pos] =
-            quant::RecordSidecars(records + pos * stride, d)[0];
-      },
-      [this, records, stride, d, out, extras](int pos) {
-        const uint8_t* rec = records + pos * stride;
-        extras[pos] = quant::RecordSidecars(rec, d)[0];
-        out[pos] = data_->sq.AdcDistance(query_, rec);
-      },
-      count);
+  ScoreBlock(StreamRecords(records, code_record_stride(),
+                           data_->sq.code_size()),
+             count, out, extras);
 }
 
 // --- Training + computer ----------------------------------------------------
@@ -712,23 +560,29 @@ index::EstimateResult DdcAnyComputer::EstimateWithThreshold(int64_t id,
   }
   ++stats_.exact_computations;
   stats_.dims_scanned += dim();
-  return {false, simd::L2Sqr(query_, base_->Row(id),
-                             static_cast<std::size_t>(dim()))};
+  return {false, ExactDistance(id)};
+}
+
+template <typename ApproxFn>
+void DdcAnyComputer::ScoreBlock(ApproxFn&& approx, const int64_t* ids,
+                                int count, float tau,
+                                index::EstimateResult* out) {
+  index::EstimatePruneRefine(
+      query_, static_cast<std::size_t>(dim()),
+      [this](int64_t id) { return base_->Row(id); }, approx,
+      [this, tau](float approx_dist, float extra) {
+        return corrector_->PredictPrunable(approx_dist, tau, extra);
+      },
+      std::isfinite(tau), ids, count, stats_, out);
 }
 
 void DdcAnyComputer::EstimateBatch(const int64_t* ids, int count, float tau,
                                    index::EstimateResult* out) {
-  index::EstimatePruneRefine(
-      query_, static_cast<std::size_t>(dim()),
-      [this](int64_t id) { return base_->Row(id); },
-      [this](const int64_t* chunk, int /*start*/, int n, float* approx,
-             float* extras) {
-        estimator_->EstimateBatch(chunk, n, approx, extras);
+  ScoreBlock(
+      [this, ids](int start, int n, float* approx, float* extras) {
+        estimator_->EstimateBatch(ids + start, n, approx, extras);
       },
-      [this, tau](float approx, float extra) {
-        return corrector_->PredictPrunable(approx, tau, extra);
-      },
-      std::isfinite(tau), ids, count, stats_, out);
+      ids, count, tau, out);
 }
 
 std::string DdcAnyComputer::code_tag() const {
@@ -748,18 +602,12 @@ void DdcAnyComputer::EstimateBatchCodes(const uint8_t* codes,
     EstimateBatch(ids, count, tau, out);
     return;
   }
-  index::EstimatePruneRefine(
-      query_, static_cast<std::size_t>(dim()),
-      [this](int64_t id) { return base_->Row(id); },
-      [this, codes, stride](const int64_t* /*chunk*/, int start, int n,
-                            float* approx, float* extras) {
+  ScoreBlock(
+      [this, codes, stride](int start, int n, float* approx, float* extras) {
         estimator_->EstimateBatchCodes(codes + start * stride, n, approx,
                                        extras);
       },
-      [this, tau](float approx, float extra) {
-        return corrector_->PredictPrunable(approx, tau, extra);
-      },
-      std::isfinite(tau), ids, count, stats_, out);
+      ids, count, tau, out);
 }
 
 bool DdcAnyComputer::group_scan_tiles_blocks() const {
@@ -779,7 +627,7 @@ void DdcAnyComputer::SetQueryBatch(const float* queries, int count,
 }
 
 void DdcAnyComputer::SelectQuery(int g) {
-  query_ = GroupQuery(g);
+  query_ = batch_.query(g);
   estimator_->SelectQuery(g);
 }
 
@@ -796,45 +644,28 @@ void DdcAnyComputer::EstimateBatchCodesGroup(const uint8_t* codes,
     return;
   }
   RESINFER_DCHECK(num_members > 0 && num_members <= index::kMaxQueryGroup);
-  // EstimatePruneRefine's chunk structure (see EstimateBatchCodes), with
-  // the approximation stage evaluated for the whole group per chunk and
-  // the per-member prune + exact-refine passes unchanged — each member's
-  // results and stats are bit-identical to its sequential call.
+  // EstimatePruneRefine's chunks, with each chunk estimated for the whole
+  // group at once and then decided per member — each member's results and
+  // stats are bit-identical to its sequential call.
   float approx[index::kMaxQueryGroup * index::kRefineChunk];
   float extras[index::kMaxQueryGroup * index::kRefineChunk];
-  int survivors[index::kRefineChunk];
   const std::size_t d = static_cast<std::size_t>(dim());
-
   for (int i = 0; i < count; i += index::kRefineChunk) {
     const int block = std::min(index::kRefineChunk, count - i);
     std::fill_n(extras, static_cast<std::size_t>(num_members) * block, 0.0f);
     estimator_->EstimateBatchCodesGroup(codes + i * stride, block, members,
                                         num_members, approx, extras);
     for (int g = 0; g < num_members; ++g) {
-      stats_.candidates += block;
       const float tau = taus[g];
-      const bool tau_finite = std::isfinite(tau);
-      const float* member_approx = approx + g * block;
-      const float* member_extras = extras + g * block;
-      index::EstimateResult* member_out =
-          out + static_cast<int64_t>(g) * count;
-      int num_survivors = 0;
-      for (int j = 0; j < block; ++j) {
-        if (tau_finite && corrector_->PredictPrunable(member_approx[j], tau,
-                                                      member_extras[j])) {
-          ++stats_.pruned;
-          member_out[i + j] = {true, member_approx[j]};
-        } else {
-          survivors[num_survivors++] = i + j;
-        }
-      }
-      stats_.exact_computations += num_survivors;
-      stats_.dims_scanned +=
-          static_cast<int64_t>(num_survivors) * static_cast<int64_t>(d);
-      index::RefineExactL2(
-          GroupQuery(members[g]), d,
-          [this](int64_t id) { return base_->Row(id); }, ids, survivors,
-          num_survivors, member_out);
+      index::PruneRefineChunk(
+          batch_.query(members[g]), d,
+          [this](int64_t id) { return base_->Row(id); },
+          [this, tau](float approx_dist, float extra) {
+            return corrector_->PredictPrunable(approx_dist, tau, extra);
+          },
+          std::isfinite(tau), ids + i, approx + g * block,
+          extras + g * block, block, stats_,
+          out + static_cast<int64_t>(g) * count + i);
     }
   }
   SelectQuery(members[num_members - 1]);
@@ -842,8 +673,6 @@ void DdcAnyComputer::EstimateBatchCodesGroup(const uint8_t* codes,
 
 float DdcAnyComputer::ExactDistance(int64_t id) {
   RESINFER_DCHECK(query_ != nullptr);
-  ++stats_.exact_computations;
-  stats_.dims_scanned += dim();
   return simd::L2Sqr(query_, base_->Row(id),
                      static_cast<std::size_t>(dim()));
 }

@@ -21,8 +21,10 @@
 #include <vector>
 
 #include "core/linear_corrector.h"
+#include "core/pq_scan.h"
 #include "core/training_data.h"
 #include "index/distance_computer.h"
+#include "index/query_slots.h"
 #include "linalg/matrix.h"
 #include "quant/code_store.h"
 #include "quant/pq.h"
@@ -73,10 +75,11 @@ class ApproxDistanceEstimator {
   // --- Query-group form (the multi-query serving path) --------------------
   // Mirrors DistanceComputer's group API: SetQueryBatch declares a group of
   // `count` queries (member g at queries + g * stride floats, count <=
-  // index::kMaxQueryGroup); SelectQuery(g) activates one member. The
-  // defaults rebuild state through BeginQuery on every switch; the
-  // quantizer backends override to compute all members' ADC tables once
-  // per group and swap a pointer on select.
+  // index::kMaxQueryGroup); SelectQuery(g) activates one member, and
+  // BeginQuery reverts to single-query operation without disturbing the
+  // group. The defaults record the group and rebuild state through
+  // BeginQuery on every switch; estimators with real per-query state (ADC
+  // tables) derive from index::QuerySlots instead (see query_slots.h).
   virtual void SetQueryBatch(const float* queries, int count, int64_t stride);
   virtual void SelectQuery(int g);
 
@@ -114,19 +117,16 @@ class ApproxDistanceEstimator {
 
   // `records` holds `count` records of code_record_stride() bytes each, in
   // candidate order. Fills out[i]/extras[i] bit-identically to
-  // EstimateBatch on the ids the records were packed from. Must not be
+  // EstimateBatch on the ids the records were packed from (the backends
+  // here run both through one private block scorer over a record accessor:
+  // gathered by id, or at position * stride in the stream). Must not be
   // called when code_tag() is empty (the default CHECK-aborts).
   virtual void EstimateBatchCodes(const uint8_t* records, int count,
                                   float* out, float* extras);
 
  protected:
-  const float* GroupQuery(int g) const {
-    return group_queries_ + static_cast<int64_t>(g) * group_stride_;
-  }
-
-  const float* group_queries_ = nullptr;
-  int group_count_ = 0;
-  int64_t group_stride_ = 0;
+  // The group declared by the base SetQueryBatch.
+  index::QueryBatch batch_;
 };
 
 // --- Quantizer-backed estimator artifacts --------------------------------
@@ -163,7 +163,8 @@ SqEstimatorData BuildSqEstimatorData(const linalg::Matrix& base,
 
 // --- Estimators -----------------------------------------------------------
 
-class PqAdcEstimator : public ApproxDistanceEstimator {
+class PqAdcEstimator
+    : public index::QuerySlots<ApproxDistanceEstimator, PqQueryState> {
  public:
   // `data` must outlive the estimator.
   //
@@ -180,7 +181,6 @@ class PqAdcEstimator : public ApproxDistanceEstimator {
   std::string name() const override { return "pq-adc"; }
   int64_t dim() const override { return data_->pq.dim(); }
   int64_t size() const override;
-  void BeginQuery(const float* query) override;
   float Estimate(int64_t id, float* extra) override;
   void EstimateBatch(const int64_t* ids, int count, float* out,
                      float* extras) override;
@@ -193,45 +193,45 @@ class PqAdcEstimator : public ApproxDistanceEstimator {
   void EstimateBatchCodes(const uint8_t* records, int count, float* out,
                           float* extras) override;
 
-  // Group form: one ADC table per member, built once; the group scan
-  // streams each record chunk through simd::PqAdcTile for all members.
-  void SetQueryBatch(const float* queries, int count,
-                     int64_t stride) override;
-  void SelectQuery(int g) override;
+  // The group scan streams each record chunk through the tiled kernels for
+  // all members' slots.
   void EstimateBatchCodesGroup(const uint8_t* records, int count,
                                const int* members, int num_members,
                                float* out, float* extras) override;
   int64_t query_state_bytes() const override;
 
  private:
+  // PqQueryState::Build on the raw query (plain PQ, no rotation).
+  void BuildQueryState(const float* query, PqQueryState& state) override;
+  // The block scorer behind EstimateBatch, EstimateBatchCodes and
+  // EstimateBatchCodesGroup: `record(pos)` yields candidate pos's
+  // CodeRecord, and each listed member's slot scores every record (member
+  // j's outputs at out/extras + j * count). Null `members` scores the
+  // current slot alone (num_members == 1).
+  template <typename RecordFn>
+  void ScoreBlock(RecordFn&& record, int count, const int* members,
+                  int num_members, float* out, float* extras);
+
   const PqEstimatorData* data_;
-  std::vector<float> adc_table_;
-  // The table Estimate*/EstimateBatch* read: adc_table_ after BeginQuery,
-  // a row of group_tables_ after SelectQuery.
-  const float* active_table_ = nullptr;
-  std::vector<float> group_tables_;  // group_count_ x adc_table_size
-  // Fast-scan state (packed layout only): quantized LUT + affine map per
-  // query, with the group variants mirroring group_tables_. The active_*
-  // trio swaps on SelectQuery exactly like active_table_.
-  bool packed_ = false;
-  std::vector<uint8_t> qlut_;
-  float qscale_ = 0.0f, qbias_ = 0.0f;
-  const uint8_t* active_qlut_ = nullptr;
-  float active_qscale_ = 0.0f, active_qbias_ = 0.0f;
-  std::vector<uint8_t> group_qluts_;  // group_count_ x fast_scan_lut_bytes
-  std::vector<float> group_qscales_, group_qbiases_;
   // Lazily built (content fingerprint is O(n)); estimators are per-thread.
   mutable std::string code_tag_;
 };
 
-class RqAdcEstimator : public ApproxDistanceEstimator {
+// Per-query state of RqAdcEstimator: the RQ inner-product table and
+// ||q||^2.
+struct RqAdcQueryState {
+  std::vector<float> ip_table;
+  float norm_sqr = 0.0f;
+};
+
+class RqAdcEstimator
+    : public index::QuerySlots<ApproxDistanceEstimator, RqAdcQueryState> {
  public:
   explicit RqAdcEstimator(const RqEstimatorData* data);
 
   std::string name() const override { return "rq-adc"; }
   int64_t dim() const override { return data_->rq.dim(); }
   int64_t size() const override;
-  void BeginQuery(const float* query) override;
   float Estimate(int64_t id, float* extra) override;
   void EstimateBatch(const int64_t* ids, int count, float* out,
                      float* extras) override;
@@ -244,23 +244,22 @@ class RqAdcEstimator : public ApproxDistanceEstimator {
   void EstimateBatchCodes(const uint8_t* records, int count, float* out,
                           float* extras) override;
 
-  // Group form: per-member IP tables + query norms; the group scan tiles
-  // the table-lookup stage and applies each member's affine combine.
-  void SetQueryBatch(const float* queries, int count,
-                     int64_t stride) override;
-  void SelectQuery(int g) override;
+  // The group scan tiles the table-lookup stage over all members' slots
+  // and applies each member's affine combine.
   void EstimateBatchCodesGroup(const uint8_t* records, int count,
                                const int* members, int num_members,
                                float* out, float* extras) override;
   int64_t query_state_bytes() const override;
 
  private:
+  void BuildQueryState(const float* query, RqAdcQueryState& state) override;
+  // Shaped like PqAdcEstimator's scorer; `record(pos)` also yields the
+  // reconstruction norm.
+  template <typename RecordFn>
+  void ScoreBlock(RecordFn&& record, int count, const int* members,
+                  int num_members, float* out, float* extras);
+
   const RqEstimatorData* data_;
-  std::vector<float> ip_table_;
-  float query_norm_sqr_ = 0.0f;
-  const float* active_table_ = nullptr;
-  std::vector<float> group_tables_;  // group_count_ x ip_table_size
-  std::vector<float> group_norms_;   // ||q||^2 per member
   // Packed-layout scratch: the batch paths unpack each chunk's nibble
   // codes to bytes here before the shared table-lookup kernel (kChunk x
   // num_stages bytes). Values and summation order match the byte path, so
@@ -290,6 +289,11 @@ class SqAdcEstimator : public ApproxDistanceEstimator {
                           float* extras) override;
 
  private:
+  // The block scorer behind EstimateBatch and EstimateBatchCodes:
+  // `record(pos)` yields candidate pos's code and reconstruction error.
+  template <typename RecordFn>
+  void ScoreBlock(RecordFn&& record, int count, float* out, float* extras);
+
   const SqEstimatorData* data_;
   const float* query_ = nullptr;
   mutable std::string code_tag_;
@@ -333,9 +337,9 @@ class DdcAnyComputer : public index::DistanceComputer {
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                           int count, float tau,
                           index::EstimateResult* out) override;
-  // Group form: the estimator evaluates each record chunk for the whole
-  // group (tiled ADC where the backend supports it); pruning and exact
-  // refinement then run per member against that member's tau and query.
+  // Group form: each record chunk is estimated for the whole group (tiled
+  // ADC where the backend supports it), then index::PruneRefineChunk
+  // decides it per member against that member's tau and query.
   void SetQueryBatch(const float* queries, int count,
                      int64_t stride) override;
   void SelectQuery(int g) override;
@@ -353,10 +357,18 @@ class DdcAnyComputer : public index::DistanceComputer {
   float ApproximateDistance(int64_t id);
 
  private:
+  // The block scorer behind EstimateBatch and EstimateBatchCodes:
+  // `approx(start, n, out, extras)` estimates the candidates at positions
+  // [start, start + n) through the estimator's id-gather or record-stream
+  // form; see index::EstimatePruneRefine.
+  template <typename ApproxFn>
+  void ScoreBlock(ApproxFn&& approx, const int64_t* ids, int count, float tau,
+                  index::EstimateResult* out);
+
   const linalg::Matrix* base_;
   std::unique_ptr<ApproxDistanceEstimator> estimator_;
   const LinearCorrector* corrector_;
-  const float* query_ = nullptr;
+  const float* query_ = nullptr;  // original space, for exact refinement
 };
 
 }  // namespace resinfer::core

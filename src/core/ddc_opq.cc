@@ -58,35 +58,20 @@ DdcOpqArtifacts TrainDdcOpq(const linalg::Matrix& base,
 
   linalg::Matrix rotated_queries =
       artifacts.opq.RotateBatch(train_queries.data(), train_queries.rows());
-  std::vector<float> table(codebook.adc_table_size());
-  // Packed codebooks serve quantized-LUT estimates at query time, so the
-  // corrector must be trained on the same feature distribution it will see.
-  const bool packed = codebook.layout().packed();
-  std::vector<uint8_t> lut(
-      packed ? static_cast<std::size_t>(codebook.fast_scan_lut_bytes()) : 0);
-  float lut_scale = 0.0f, lut_bias = 0.0f;
-  int64_t table_query = -1;
+  // Estimates through the query-time PqQueryState, so the corrector is
+  // trained on the feature distribution it will see (quantized-LUT
+  // estimates for packed codebooks).
+  PqQueryState state;
+  int64_t state_query = -1;
   std::vector<CorrectorSample> samples = MaterializeSamples(
       pairs, [&](int64_t query_index, int64_t id, float* extra) {
-        if (query_index != table_query) {
-          codebook.ComputeAdcTable(rotated_queries.Row(query_index),
-                                   table.data());
-          if (packed) {
-            codebook.QuantizeAdcTable(table.data(), lut.data(), &lut_scale,
-                                      &lut_bias);
-          }
-          table_query = query_index;
+        if (query_index != state_query) {
+          state.Build(codebook, rotated_queries.Row(query_index));
+          state_query = query_index;
         }
         *extra = artifacts.recon_errors[id];
-        const uint8_t* code =
-            artifacts.codes.data() + id * codebook.code_size();
-        if (packed) {
-          return quant::PqCodebook::DequantizeFastScanSum(
-              simd::PqAdcFastScanOne(lut.data(), codebook.num_subspaces(),
-                                     code),
-              lut_scale, lut_bias);
-        }
-        return codebook.AdcDistance(table.data(), code);
+        return state.Estimate(
+            codebook, artifacts.codes.data() + id * codebook.code_size());
       });
 
   LinearCorrectorOptions corrector_options = options.corrector;
@@ -98,89 +83,23 @@ DdcOpqArtifacts TrainDdcOpq(const linalg::Matrix& base,
 
 DdcOpqComputer::DdcOpqComputer(const linalg::Matrix* base,
                                const DdcOpqArtifacts* artifacts)
-    : base_(base),
-      artifacts_(artifacts),
-      packed_(artifacts != nullptr &&
-              artifacts->opq.codebook().layout().packed()) {
+    : base_(base), artifacts_(artifacts) {
   RESINFER_CHECK(base != nullptr && artifacts != nullptr);
   RESINFER_CHECK(artifacts->opq.trained());
   RESINFER_CHECK(artifacts->opq.dim() == base->cols());
   rotated_query_.resize(base->cols());
-  adc_table_.resize(artifacts->opq.codebook().adc_table_size());
-  active_adc_table_ = adc_table_.data();
-  if (packed_) {
-    qlut_.resize(static_cast<std::size_t>(
-        artifacts->opq.codebook().fast_scan_lut_bytes()));
-    active_qlut_ = qlut_.data();
-  }
 }
 
-void DdcOpqComputer::BeginQuery(const float* query) {
-  query_ = query;
+void DdcOpqComputer::BuildQueryState(const float* query,
+                                     PqQueryState& state) {
   artifacts_->opq.Rotate(query, rotated_query_.data());
-  artifacts_->opq.codebook().ComputeAdcTable(rotated_query_.data(),
-                                             adc_table_.data());
-  active_adc_table_ = adc_table_.data();
-  if (packed_) {
-    artifacts_->opq.codebook().QuantizeAdcTable(adc_table_.data(),
-                                                qlut_.data(), &qscale_,
-                                                &qbias_);
-    active_qlut_ = qlut_.data();
-    active_qscale_ = qscale_;
-    active_qbias_ = qbias_;
-  }
-}
-
-void DdcOpqComputer::SetQueryBatch(const float* queries, int count,
-                                   int64_t stride) {
-  index::DistanceComputer::SetQueryBatch(queries, count, stride);
-  const auto& codebook = artifacts_->opq.codebook();
-  const int64_t table_size = codebook.adc_table_size();
-  group_tables_.resize(static_cast<std::size_t>(count * table_size));
-  const int64_t lut_bytes = packed_ ? codebook.fast_scan_lut_bytes() : 0;
-  if (packed_) {
-    group_qluts_.resize(static_cast<std::size_t>(count * lut_bytes));
-    group_qscales_.resize(static_cast<std::size_t>(count));
-    group_qbiases_.resize(static_cast<std::size_t>(count));
-  }
-  for (int g = 0; g < count; ++g) {
-    artifacts_->opq.Rotate(GroupQuery(g), rotated_query_.data());
-    float* table = group_tables_.data() + g * table_size;
-    codebook.ComputeAdcTable(rotated_query_.data(), table);
-    if (packed_) {
-      codebook.QuantizeAdcTable(
-          table, group_qluts_.data() + g * lut_bytes,
-          &group_qscales_[static_cast<std::size_t>(g)],
-          &group_qbiases_[static_cast<std::size_t>(g)]);
-    }
-  }
-}
-
-void DdcOpqComputer::SelectQuery(int g) {
-  RESINFER_DCHECK(g >= 0 && g < group_count_);
-  query_ = GroupQuery(g);
-  const auto& codebook = artifacts_->opq.codebook();
-  active_adc_table_ = group_tables_.data() + g * codebook.adc_table_size();
-  if (packed_) {
-    active_qlut_ = group_qluts_.data() + g * codebook.fast_scan_lut_bytes();
-    active_qscale_ = group_qscales_[static_cast<std::size_t>(g)];
-    active_qbias_ = group_qbiases_[static_cast<std::size_t>(g)];
-  }
+  state.Build(artifacts_->opq.codebook(), rotated_query_.data());
 }
 
 index::EstimateResult DdcOpqComputer::EstimateWithThreshold(int64_t id,
                                                             float tau) {
   ++stats_.candidates;
-  const auto& codebook = artifacts_->opq.codebook();
-  const uint8_t* code =
-      artifacts_->codes.data() + id * codebook.code_size();
-  const float adc =
-      packed_ ? quant::PqCodebook::DequantizeFastScanSum(
-                    simd::PqAdcFastScanOne(active_qlut_,
-                                           codebook.num_subspaces(), code),
-                    active_qscale_, active_qbias_)
-              : codebook.AdcDistance(active_adc_table_, code);
-
+  const float adc = ApproximateDistance(id);
   if (std::isfinite(tau) &&
       artifacts_->corrector.PredictPrunable(adc, tau,
                                             artifacts_->recon_errors[id])) {
@@ -192,27 +111,39 @@ index::EstimateResult DdcOpqComputer::EstimateWithThreshold(int64_t id,
   return {false, ExactDistance(id)};
 }
 
-void DdcOpqComputer::EstimateBatch(const int64_t* ids, int count, float tau,
-                                   index::EstimateResult* out) {
+template <typename RecordFn>
+void DdcOpqComputer::ScoreBlock(RecordFn&& record, const int64_t* ids,
+                                int count, float tau,
+                                index::EstimateResult* out) {
+  // Exact refinement of survivors reads full-precision rows by id on
+  // either record source, as the sequential path does.
   const auto& codebook = artifacts_->opq.codebook();
-  const int64_t code_size = codebook.code_size();
+  const PqQueryState& state = query_state();
   index::EstimatePruneRefine(
-      query_, static_cast<std::size_t>(dim()),
+      query(), static_cast<std::size_t>(dim()),
       [this](int64_t id) { return base_->Row(id); },
-      [this, &codebook, code_size](const int64_t* chunk, int /*start*/, int n,
-                                   float* approx, float* extras) {
+      [&codebook, &state, &record](int start, int n, float* approx,
+                                   float* extras) {
         const uint8_t* codes[index::kRefineChunk];
         for (int j = 0; j < n; ++j) {
-          codes[j] = artifacts_->codes.data() + chunk[j] * code_size;
-          extras[j] = artifacts_->recon_errors[chunk[j]];
+          const CodeRecord rec = record(start + j);
+          codes[j] = rec.code;
+          extras[j] = rec.recon_error;
         }
-        ScorePqChunk(codebook, packed_, active_adc_table_, active_qlut_,
-                     active_qscale_, active_qbias_, codes, n, approx);
+        ScorePqChunk(codebook, state, codes, n, approx);
       },
       [this, tau](float approx, float extra) {
         return artifacts_->corrector.PredictPrunable(approx, tau, extra);
       },
       std::isfinite(tau), ids, count, stats_, out);
+}
+
+void DdcOpqComputer::EstimateBatch(const int64_t* ids, int count, float tau,
+                                   index::EstimateResult* out) {
+  ScoreBlock(GatherRecords(artifacts_->codes.data(),
+                           artifacts_->opq.codebook().code_size(),
+                           artifacts_->recon_errors.data(), ids),
+             ids, count, tau, out);
 }
 
 std::string DdcOpqComputer::code_tag() const {
@@ -244,50 +175,22 @@ void DdcOpqComputer::EstimateBatchCodes(const uint8_t* codes,
                                         const int64_t* ids, int count,
                                         float tau,
                                         index::EstimateResult* out) {
-  // Same prune/refine pipeline as EstimateBatch; ADC code pointers and the
-  // trust feature stream off the bucket-contiguous records instead of
-  // id-indexed gathers. Exact refinement of survivors still gathers
-  // full-precision rows, as the sequential path does.
-  const auto& codebook = artifacts_->opq.codebook();
-  const int64_t code_size = codebook.code_size();
-  const int64_t stride = quant::CodeRecordStride(code_size, 1);
-  index::EstimatePruneRefine(
-      query_, static_cast<std::size_t>(dim()),
-      [this](int64_t id) { return base_->Row(id); },
-      [this, &codebook, codes, code_size, stride](
-          const int64_t* /*chunk*/, int start, int n, float* approx,
-          float* extras) {
-        const uint8_t* code_ptrs[index::kRefineChunk];
-        for (int j = 0; j < n; ++j) {
-          const uint8_t* rec = codes + (start + j) * stride;
-          code_ptrs[j] = rec;
-          extras[j] = quant::RecordSidecars(rec, code_size)[0];
-        }
-        ScorePqChunk(codebook, packed_, active_adc_table_, active_qlut_,
-                     active_qscale_, active_qbias_, code_ptrs, n, approx);
-      },
-      [this, tau](float approx, float extra) {
-        return artifacts_->corrector.PredictPrunable(approx, tau, extra);
-      },
-      std::isfinite(tau), ids, count, stats_, out);
+  const int64_t code_size = artifacts_->opq.codebook().code_size();
+  ScoreBlock(StreamRecords(codes, quant::CodeRecordStride(code_size, 1),
+                           code_size),
+             ids, count, tau, out);
 }
 
 float DdcOpqComputer::ExactDistance(int64_t id) {
-  RESINFER_DCHECK(query_ != nullptr);
-  return simd::L2Sqr(base_->Row(id), query_,
+  RESINFER_DCHECK(query() != nullptr);
+  return simd::L2Sqr(base_->Row(id), query(),
                      static_cast<std::size_t>(base_->cols()));
 }
 
 float DdcOpqComputer::ApproximateDistance(int64_t id) const {
   const auto& codebook = artifacts_->opq.codebook();
-  const uint8_t* code =
-      artifacts_->codes.data() + id * codebook.code_size();
-  if (packed_) {
-    return quant::PqCodebook::DequantizeFastScanSum(
-        simd::PqAdcFastScanOne(active_qlut_, codebook.num_subspaces(), code),
-        active_qscale_, active_qbias_);
-  }
-  return codebook.AdcDistance(active_adc_table_, code);
+  return query_state().Estimate(
+      codebook, artifacts_->codes.data() + id * codebook.code_size());
 }
 
 }  // namespace resinfer::core

@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "core/linear_corrector.h"
+#include "core/pq_scan.h"
 #include "core/training_data.h"
 #include "index/distance_computer.h"
+#include "index/query_slots.h"
 #include "linalg/matrix.h"
 #include "quant/opq.h"
 
@@ -52,7 +54,8 @@ DdcOpqArtifacts TrainDdcOpq(const linalg::Matrix& base,
                             const linalg::Matrix& train_queries,
                             const DdcOpqOptions& options = DdcOpqOptions());
 
-class DdcOpqComputer : public index::DistanceComputer {
+class DdcOpqComputer
+    : public index::QuerySlots<index::DistanceComputer, PqQueryState> {
  public:
   // `base` is the ORIGINAL (un-rotated) data — exact fallbacks are computed
   // there; ADC estimates live in the OPQ-rotated space. Both must outlive
@@ -63,7 +66,6 @@ class DdcOpqComputer : public index::DistanceComputer {
   int64_t size() const override { return base_->rows(); }
   std::string name() const override { return "ddc-opq"; }
 
-  void BeginQuery(const float* query) override;
   index::EstimateResult EstimateWithThreshold(int64_t id,
                                               float tau) override;
   void EstimateBatch(const int64_t* ids, int count, float tau,
@@ -74,40 +76,26 @@ class DdcOpqComputer : public index::DistanceComputer {
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                           int count, float tau,
                           index::EstimateResult* out) override;
-  // Group form: rotated queries + ADC tables for every member built once
-  // per SetQueryBatch; SelectQuery swaps pointers.
-  void SetQueryBatch(const float* queries, int count,
-                     int64_t stride) override;
-  void SelectQuery(int g) override;
   float ExactDistance(int64_t id) override;
 
   // Raw ADC distance for the current query (no correction).
   float ApproximateDistance(int64_t id) const;
 
  private:
+  // OPQ rotation, then the ADC table (and fast-scan LUT for packed
+  // codebooks).
+  void BuildQueryState(const float* query, PqQueryState& state) override;
+  // The block scorer behind EstimateBatch and EstimateBatchCodes:
+  // `record(pos)` yields candidate pos's code and reconstruction error,
+  // gathered by id or read off the bucket stream.
+  template <typename RecordFn>
+  void ScoreBlock(RecordFn&& record, const int64_t* ids, int count, float tau,
+                  index::EstimateResult* out);
+
   const linalg::Matrix* base_;
   const DdcOpqArtifacts* artifacts_;
 
-  const float* query_ = nullptr;      // original space, for exact fallback
-  std::vector<float> rotated_query_;  // OPQ space
-  std::vector<float> adc_table_;
-  // The table the estimate paths read: adc_table_ after BeginQuery, a row
-  // of group_tables_ after SelectQuery. The rotated query is consumed
-  // immediately by ComputeAdcTable, so group members share rotated_query_
-  // as scratch instead of keeping per-member copies.
-  const float* active_adc_table_ = nullptr;
-  std::vector<float> group_tables_;  // group x adc_table_size
-  // Fast-scan state (packed 4-bit OPQ codebooks): per-query quantized LUT
-  // + affine map, swapped by SelectQuery like active_adc_table_. Estimates
-  // then dequantize exact integer LUT sums (within the documented
-  // m * scale / 2 bound); survivors are exactly rescored as usual.
-  bool packed_ = false;
-  std::vector<uint8_t> qlut_;
-  float qscale_ = 0.0f, qbias_ = 0.0f;
-  const uint8_t* active_qlut_ = nullptr;
-  float active_qscale_ = 0.0f, active_qbias_ = 0.0f;
-  std::vector<uint8_t> group_qluts_;
-  std::vector<float> group_qscales_, group_qbiases_;
+  std::vector<float> rotated_query_;  // OPQ-space scratch of BuildQueryState
   // Lazily built (content fingerprint is O(n)); computers are per-thread.
   mutable std::string code_tag_;
 };

@@ -75,28 +75,12 @@ DdcPcaComputer::DdcPcaComputer(const linalg::PcaModel* pca,
                  artifacts->correctors.size());
   RESINFER_CHECK(!artifacts->stage_dims.empty());
   RESINFER_CHECK(artifacts->stage_dims.back() < pca->dim());
-  rotated_query_.resize(pca->dim());
-  active_rotated_query_ = rotated_query_.data();
 }
 
-void DdcPcaComputer::BeginQuery(const float* query) {
-  pca_->Transform(query, rotated_query_.data());
-  active_rotated_query_ = rotated_query_.data();
-}
-
-void DdcPcaComputer::SetQueryBatch(const float* queries, int count,
-                                   int64_t stride) {
-  index::DistanceComputer::SetQueryBatch(queries, count, stride);
-  const int64_t d = pca_->dim();
-  group_rotated_.resize(static_cast<std::size_t>(count * d));
-  for (int g = 0; g < count; ++g) {
-    pca_->Transform(GroupQuery(g), group_rotated_.data() + g * d);
-  }
-}
-
-void DdcPcaComputer::SelectQuery(int g) {
-  RESINFER_DCHECK(g >= 0 && g < group_count_);
-  active_rotated_query_ = group_rotated_.data() + g * pca_->dim();
+void DdcPcaComputer::BuildQueryState(const float* query,
+                                     DdcPcaQueryState& state) {
+  state.rotated.resize(static_cast<std::size_t>(pca_->dim()));
+  pca_->Transform(query, state.rotated.data());
 }
 
 index::EstimateResult DdcPcaComputer::EstimateWithThreshold(int64_t id,
@@ -104,7 +88,7 @@ index::EstimateResult DdcPcaComputer::EstimateWithThreshold(int64_t id,
   ++stats_.candidates;
   const int64_t d0 = artifacts_->stage_dims[0];
   const float* x = rotated_base_->Row(id);
-  const float partial = simd::L2Sqr(x, active_rotated_query_,
+  const float partial = simd::L2Sqr(x, query_state().rotated.data(),
                                     static_cast<std::size_t>(d0));
   stats_.dims_scanned += d0;
   return ContinueFromFirstStage(x, tau, partial);
@@ -114,7 +98,7 @@ index::EstimateResult DdcPcaComputer::ContinueFromFirstStage(const float* x,
                                                              float tau,
                                                              float partial) {
   const int64_t full_dim = pca_->dim();
-  const float* q = active_rotated_query_;
+  const float* q = query_state().rotated.data();
   const bool tau_finite = std::isfinite(tau);
 
   int64_t d = artifacts_->stage_dims[0];
@@ -136,28 +120,41 @@ index::EstimateResult DdcPcaComputer::ContinueFromFirstStage(const float* x,
   return {false, partial};
 }
 
-void DdcPcaComputer::EstimateBatch(const int64_t* ids, int count, float tau,
-                                   index::EstimateResult* out) {
-  // The first (cheapest, most selective) stage runs four candidates per
-  // kernel call with next-block prefetch; survivors continue through the
-  // cascade one at a time, exactly as the sequential path would.
+template <typename HeadFn>
+void DdcPcaComputer::ScoreBlock(HeadFn&& head, const int64_t* ids, int count,
+                                float tau, index::EstimateResult* out) {
   const int64_t d0 = artifacts_->stage_dims[0];
-  const float* q = active_rotated_query_;
-  index::ScanBatch4(
-      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
-      [q, d0](const float* const* rows, float* partial) {
-        simd::L2SqrBatch4(q, rows, static_cast<std::size_t>(d0), partial);
+  const float* q = query_state().rotated.data();
+  index::ScanHeadsThenRows(
+      head,
+      [q, d0](const float* const* heads, float* partial) {
+        simd::L2SqrBatch4(q, heads, static_cast<std::size_t>(d0), partial);
       },
-      [this, ids, tau, d0, out](int pos, float partial) {
+      [this, tau, d0, out](int pos, float partial) {
+        // The first step of ContinueFromFirstStage, which survivors re-run
+        // (and pass) on their full row below.
         ++stats_.candidates;
         stats_.dims_scanned += d0;
-        out[pos] =
-            ContinueFromFirstStage(rotated_base_->Row(ids[pos]), tau, partial);
+        if (!std::isfinite(tau) ||
+            !artifacts_->correctors[0].PredictPrunable(partial, tau)) {
+          return false;
+        }
+        ++stats_.pruned;
+        out[pos] = {true, partial};
+        return true;
       },
-      [this, ids, tau, out](int pos) {
-        out[pos] = EstimateWithThreshold(ids[pos], tau);
+      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
+      [this, tau, out](int pos, const float* x, float partial) {
+        out[pos] = ContinueFromFirstStage(x, tau, partial);
       },
+      static_cast<std::size_t>(d0), static_cast<std::size_t>(pca_->dim()),
       count);
+}
+
+void DdcPcaComputer::EstimateBatch(const int64_t* ids, int count, float tau,
+                                   index::EstimateResult* out) {
+  ScoreBlock([this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
+             ids, count, tau, out);
 }
 
 std::string DdcPcaComputer::code_tag() const {
@@ -183,45 +180,22 @@ void DdcPcaComputer::EstimateBatchCodes(const uint8_t* codes,
                                         const int64_t* ids, int count,
                                         float tau,
                                         index::EstimateResult* out) {
-  const int64_t d0 = artifacts_->stage_dims[0];
   const int64_t stride = quant::CodeRecordStride(HeadBytes(), 0);
-  const float* q = active_rotated_query_;
-  index::ScanHeadsThenRows(
+  ScoreBlock(
       [codes, stride](int pos) {
         return reinterpret_cast<const float*>(codes + pos * stride);
       },
-      [q, d0](const float* const* heads, float* partial) {
-        simd::L2SqrBatch4(q, heads, static_cast<std::size_t>(d0), partial);
-      },
-      [this, tau, d0, out](int pos, float partial) {
-        // The first step of ContinueFromFirstStage, which survivors re-run
-        // (and pass) on their full row below.
-        ++stats_.candidates;
-        stats_.dims_scanned += d0;
-        if (!std::isfinite(tau) ||
-            !artifacts_->correctors[0].PredictPrunable(partial, tau)) {
-          return false;
-        }
-        ++stats_.pruned;
-        out[pos] = {true, partial};
-        return true;
-      },
-      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
-      [this, tau, out](int pos, const float* x, float partial) {
-        out[pos] = ContinueFromFirstStage(x, tau, partial);
-      },
-      static_cast<std::size_t>(d0), static_cast<std::size_t>(pca_->dim()),
-      count);
+      ids, count, tau, out);
 }
 
 float DdcPcaComputer::ExactDistance(int64_t id) {
-  return simd::L2Sqr(rotated_base_->Row(id), active_rotated_query_,
+  return simd::L2Sqr(rotated_base_->Row(id), query_state().rotated.data(),
                      static_cast<std::size_t>(pca_->dim()));
 }
 
 float DdcPcaComputer::ApproximateDistance(int64_t id, int64_t d) const {
   d = std::clamp<int64_t>(d, 0, pca_->dim());
-  return simd::L2Sqr(rotated_base_->Row(id), active_rotated_query_,
+  return simd::L2Sqr(rotated_base_->Row(id), query_state().rotated.data(),
                      static_cast<std::size_t>(d));
 }
 

@@ -18,6 +18,7 @@
 #include "core/linear_corrector.h"
 #include "core/training_data.h"
 #include "index/distance_computer.h"
+#include "index/query_slots.h"
 #include "linalg/matrix.h"
 #include "linalg/pca.h"
 
@@ -49,7 +50,13 @@ DdcPcaArtifacts TrainDdcPca(const linalg::PcaModel& pca,
                             const linalg::Matrix& train_queries,
                             const DdcPcaOptions& options = DdcPcaOptions());
 
-class DdcPcaComputer : public index::DistanceComputer {
+// Per-query state of DdcPcaComputer: the PCA-rotated query.
+struct DdcPcaQueryState {
+  std::vector<float> rotated;
+};
+
+class DdcPcaComputer
+    : public index::QuerySlots<index::DistanceComputer, DdcPcaQueryState> {
  public:
   // All pointers are shared artifacts and must outlive the computer.
   DdcPcaComputer(const linalg::PcaModel* pca,
@@ -60,7 +67,6 @@ class DdcPcaComputer : public index::DistanceComputer {
   int64_t size() const override { return rotated_base_->rows(); }
   std::string name() const override { return "ddc-pca"; }
 
-  void BeginQuery(const float* query) override;
   index::EstimateResult EstimateWithThreshold(int64_t id,
                                               float tau) override;
   void EstimateBatch(const int64_t* ids, int count, float tau,
@@ -74,11 +80,6 @@ class DdcPcaComputer : public index::DistanceComputer {
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                           int count, float tau,
                           index::EstimateResult* out) override;
-  // Group form: every member's PCA-rotated query built once per
-  // SetQueryBatch; SelectQuery swaps a pointer.
-  void SetQueryBatch(const float* queries, int count,
-                     int64_t stride) override;
-  void SelectQuery(int g) override;
   float ExactDistance(int64_t id) override;
 
   // Plain projected distance ||x_d - q_d||^2 (Table III accuracy bench).
@@ -87,11 +88,20 @@ class DdcPcaComputer : public index::DistanceComputer {
   int64_t ExtraBytes() const;
 
  private:
+  void BuildQueryState(const float* query,
+                       DdcPcaQueryState& state) override;
+  // The block scorer behind EstimateBatch and EstimateBatchCodes (see
+  // index::ScanHeadsThenRows): `head(pos)` is candidate pos's first-stage
+  // head — its full rotated row when gathering by id, its record in the
+  // bucket stream otherwise.
+  template <typename HeadFn>
+  void ScoreBlock(HeadFn&& head, const int64_t* ids, int count, float tau,
+                  index::EstimateResult* out);
   // Runs the incremental stage cascade for one candidate given its rotated
   // row `x` and first-stage partial distance (over stage_dims[0] dims,
-  // already counted in stats_.dims_scanned). Shared by the sequential,
-  // batch-gather, and code-resident paths so their decisions and rounding
-  // are identical by construction.
+  // already counted in stats_.dims_scanned). Shared by the sequential and
+  // block paths so their decisions and rounding are identical by
+  // construction.
   index::EstimateResult ContinueFromFirstStage(const float* x, float tau,
                                                float partial);
   // Bytes of a code record: the first-stage head of the rotated row.
@@ -103,11 +113,6 @@ class DdcPcaComputer : public index::DistanceComputer {
   const linalg::Matrix* rotated_base_;
   const DdcPcaArtifacts* artifacts_;
 
-  std::vector<float> rotated_query_;
-  // The rotated query the estimate paths read: rotated_query_ after
-  // BeginQuery, a row of group_rotated_ after SelectQuery.
-  const float* active_rotated_query_ = nullptr;
-  std::vector<float> group_rotated_;  // group x dim
   // Lazily built (content fingerprint is O(n)); computers are per-thread.
   mutable std::string code_tag_;
 };

@@ -30,67 +30,35 @@ DdcResComputer::DdcResComputer(const linalg::PcaModel* pca,
     norms_sqr_[i] = simd::Norm2Sqr(rotated_base_->Row(i), d);
   }
   error_model_ = ResidualErrorModel(pca_->variances());
-  rotated_query_.resize(pca_->dim());
   for (int64_t d = options_.init_dim; d < pca_->dim();
        d += options_.delta_dim) {
     stage_dims_.push_back(d);
     if (!options_.incremental) break;  // Algorithm 1: single test
   }
-  stage_bounds_.resize(stage_dims_.size());
-  active_rotated_query_ = rotated_query_.data();
-  active_stage_bounds_ = stage_bounds_.data();
 }
 
-void DdcResComputer::BuildQueryState(const float* query, float* rotated,
-                                     float* bounds, float* norm_sqr) {
-  pca_->Transform(query, rotated);
-  *norm_sqr =
-      simd::Norm2Sqr(rotated, static_cast<std::size_t>(pca_->dim()));
-  error_model_.BeginQuery(rotated);
-  // Hoist the per-stage sigma square roots out of the candidate loop.
+void DdcResComputer::BuildQueryState(const float* query,
+                                     DdcResQueryState& state) {
+  state.rotated.resize(static_cast<std::size_t>(pca_->dim()));
+  state.bounds.resize(stage_dims_.size());
+  pca_->Transform(query, state.rotated.data());
+  state.norm_sqr = simd::Norm2Sqr(state.rotated.data(),
+                                  static_cast<std::size_t>(pca_->dim()));
+  error_model_.BeginQuery(state.rotated.data());
   for (std::size_t s = 0; s < stage_dims_.size(); ++s) {
-    bounds[s] = multiplier_ * error_model_.Sigma(stage_dims_[s]);
+    state.bounds[s] = multiplier_ * error_model_.Sigma(stage_dims_[s]);
   }
-}
-
-void DdcResComputer::BeginQuery(const float* query) {
-  BuildQueryState(query, rotated_query_.data(), stage_bounds_.data(),
-                  &query_norm_sqr_);
-  active_rotated_query_ = rotated_query_.data();
-  active_stage_bounds_ = stage_bounds_.data();
-}
-
-void DdcResComputer::SetQueryBatch(const float* queries, int count,
-                                   int64_t stride) {
-  index::DistanceComputer::SetQueryBatch(queries, count, stride);
-  const int64_t d = pca_->dim();
-  const int64_t num_stages = static_cast<int64_t>(stage_dims_.size());
-  group_rotated_.resize(static_cast<std::size_t>(count * d));
-  group_bounds_.resize(static_cast<std::size_t>(count * num_stages));
-  group_norms_.resize(static_cast<std::size_t>(count));
-  for (int g = 0; g < count; ++g) {
-    BuildQueryState(GroupQuery(g), group_rotated_.data() + g * d,
-                    group_bounds_.data() + g * num_stages,
-                    &group_norms_[static_cast<std::size_t>(g)]);
-  }
-}
-
-void DdcResComputer::SelectQuery(int g) {
-  RESINFER_DCHECK(g >= 0 && g < group_count_);
-  active_rotated_query_ = group_rotated_.data() + g * pca_->dim();
-  active_stage_bounds_ =
-      group_bounds_.data() + g * static_cast<int64_t>(stage_dims_.size());
-  query_norm_sqr_ = group_norms_[static_cast<std::size_t>(g)];
 }
 
 index::EstimateResult DdcResComputer::EstimateWithThreshold(int64_t id,
                                                             float tau) {
   ++stats_.candidates;
+  const DdcResQueryState& state = query_state();
   if (stage_dims_.empty()) {
     // init_dim >= D leaves no test stage: straight to exact.
-    const float c1 = norms_sqr_[id] + query_norm_sqr_;
+    const float c1 = norms_sqr_[id] + state.norm_sqr;
     const float c2 = 2.0f * simd::InnerProduct(
-                                rotated_base_->Row(id), active_rotated_query_,
+                                rotated_base_->Row(id), state.rotated.data(),
                                 static_cast<std::size_t>(pca_->dim()));
     stats_.dims_scanned += pca_->dim();
     ++stats_.exact_computations;
@@ -98,11 +66,10 @@ index::EstimateResult DdcResComputer::EstimateWithThreshold(int64_t id,
   }
   const int64_t d0 = stage_dims_[0];
   const float* x = rotated_base_->Row(id);
-  const float c2 = 2.0f * simd::InnerProduct(x, active_rotated_query_,
+  const float c2 = 2.0f * simd::InnerProduct(x, state.rotated.data(),
                                              static_cast<std::size_t>(d0));
   stats_.dims_scanned += d0;
-  return ContinueFromFirstStage(x, norms_sqr_[id] + query_norm_sqr_, tau,
-                                c2);
+  return ContinueFromFirstStage(x, norms_sqr_[id] + state.norm_sqr, tau, c2);
 }
 
 index::EstimateResult DdcResComputer::ContinueFromFirstStage(const float* x,
@@ -110,11 +77,12 @@ index::EstimateResult DdcResComputer::ContinueFromFirstStage(const float* x,
                                                              float tau,
                                                              float c2) {
   const int64_t full_dim = pca_->dim();
-  const float* q = active_rotated_query_;
+  const DdcResQueryState& state = query_state();
+  const float* q = state.rotated.data();
 
   int64_t d = stage_dims_[0];
   for (std::size_t stage = 0;;) {
-    if (c1 - c2 - active_stage_bounds_[stage] > tau) {
+    if (c1 - c2 - state.bounds[stage] > tau) {
       ++stats_.pruned;
       return {true, std::max(0.0f, c1 - c2)};
     }
@@ -134,33 +102,63 @@ index::EstimateResult DdcResComputer::ContinueFromFirstStage(const float* x,
   return {false, std::max(0.0f, c1 - c2)};
 }
 
-void DdcResComputer::EstimateBatch(const int64_t* ids, int count, float tau,
-                                   index::EstimateResult* out) {
+namespace {
+
+// A candidate's first-stage inputs: the head of its rotated row and its
+// ||x||^2.
+struct ResRecord {
+  const float* head;
+  float norm_sqr;
+};
+
+}  // namespace
+
+template <typename RecordFn>
+void DdcResComputer::ScoreBlock(RecordFn&& record, const int64_t* ids,
+                                int count, float tau,
+                                index::EstimateResult* out) {
   if (stage_dims_.empty()) {
+    // No test stage: every candidate is a straight exact pass.
     for (int i = 0; i < count; ++i) out[i] = EstimateWithThreshold(ids[i], tau);
     return;
   }
-  // First-stage C2 accumulation four candidates per kernel call with
-  // next-group prefetch; survivors continue through the cascade exactly as
-  // the sequential path would.
   const int64_t d0 = stage_dims_[0];
-  const float* q = active_rotated_query_;
-  index::ScanBatch4(
-      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
-      [q, d0](const float* const* rows, float* ip) {
-        simd::InnerProductBatch4(q, rows, static_cast<std::size_t>(d0), ip);
+  const DdcResQueryState& state = query_state();
+  const float* q = state.rotated.data();
+  const auto c1 = [&record, &state](int pos) {
+    return record(pos).norm_sqr + state.norm_sqr;
+  };
+  index::ScanHeadsThenRows(
+      [&record](int pos) { return record(pos).head; },
+      [q, d0](const float* const* heads, float* ip) {
+        simd::InnerProductBatch4(q, heads, static_cast<std::size_t>(d0), ip);
       },
-      [this, ids, tau, d0, out](int pos, float ip) {
+      [this, &c1, &state, tau, d0, out](int pos, float ip) {
+        // The first step of ContinueFromFirstStage, which survivors re-run
+        // (and pass) on their full row below.
         ++stats_.candidates;
         stats_.dims_scanned += d0;
-        out[pos] = ContinueFromFirstStage(
-            rotated_base_->Row(ids[pos]),
-            norms_sqr_[ids[pos]] + query_norm_sqr_, tau, 2.0f * ip);
+        const float approx = c1(pos) - 2.0f * ip;
+        if (!(approx - state.bounds[0] > tau)) return false;
+        ++stats_.pruned;
+        out[pos] = {true, std::max(0.0f, approx)};
+        return true;
       },
-      [this, ids, tau, out](int pos) {
-        out[pos] = EstimateWithThreshold(ids[pos], tau);
+      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
+      [this, &c1, tau, out](int pos, const float* x, float ip) {
+        out[pos] = ContinueFromFirstStage(x, c1(pos), tau, 2.0f * ip);
       },
+      static_cast<std::size_t>(d0), static_cast<std::size_t>(pca_->dim()),
       count);
+}
+
+void DdcResComputer::EstimateBatch(const int64_t* ids, int count, float tau,
+                                   index::EstimateResult* out) {
+  ScoreBlock(
+      [this, ids](int pos) {
+        return ResRecord{rotated_base_->Row(ids[pos]), norms_sqr_[ids[pos]]};
+      },
+      ids, count, tau, out);
 }
 
 std::string DdcResComputer::code_tag() const {
@@ -193,57 +191,29 @@ void DdcResComputer::EstimateBatchCodes(const uint8_t* codes,
                                         const int64_t* ids, int count,
                                         float tau,
                                         index::EstimateResult* out) {
-  if (stage_dims_.empty()) {
-    // No test stage: the gather loop is already a straight exact pass.
-    EstimateBatch(ids, count, tau, out);
-    return;
-  }
-  const int64_t d0 = stage_dims_[0];
-  const int64_t code_size = HeadBytes();
+  // Without a test stage there is no code form; ScoreBlock gathers then.
+  const int64_t code_size = stage_dims_.empty() ? 0 : HeadBytes();
   const int64_t stride = quant::CodeRecordStride(code_size, 1);
-  const float* q = active_rotated_query_;
-  const auto c1 = [this, codes, stride, code_size](int pos) {
-    return quant::RecordSidecars(codes + pos * stride, code_size)[0] +
-           query_norm_sqr_;
-  };
-  index::ScanHeadsThenRows(
-      [codes, stride](int pos) {
-        return reinterpret_cast<const float*>(codes + pos * stride);
+  ScoreBlock(
+      [codes, stride, code_size](int pos) {
+        const uint8_t* rec = codes + pos * stride;
+        return ResRecord{reinterpret_cast<const float*>(rec),
+                         quant::RecordSidecars(rec, code_size)[0]};
       },
-      [q, d0](const float* const* heads, float* ip) {
-        simd::InnerProductBatch4(q, heads, static_cast<std::size_t>(d0), ip);
-      },
-      [this, c1, tau, d0, out](int pos, float ip) {
-        // The first step of ContinueFromFirstStage, which survivors re-run
-        // (and pass) on their full row below.
-        ++stats_.candidates;
-        stats_.dims_scanned += d0;
-        const float approx = c1(pos) - 2.0f * ip;
-        if (!(approx - active_stage_bounds_[0] > tau)) return false;
-        ++stats_.pruned;
-        out[pos] = {true, std::max(0.0f, approx)};
-        return true;
-      },
-      [this, ids](int pos) { return rotated_base_->Row(ids[pos]); },
-      [this, c1, tau, out](int pos, const float* x, float ip) {
-        out[pos] = ContinueFromFirstStage(x, c1(pos), tau, 2.0f * ip);
-      },
-      static_cast<std::size_t>(d0), static_cast<std::size_t>(pca_->dim()),
-      count);
+      ids, count, tau, out);
 }
 
 float DdcResComputer::ExactDistance(int64_t id) {
-  const float* x = rotated_base_->Row(id);
-  return simd::L2Sqr(x, active_rotated_query_,
+  return simd::L2Sqr(rotated_base_->Row(id), query_state().rotated.data(),
                      static_cast<std::size_t>(pca_->dim()));
 }
 
 float DdcResComputer::ApproximateDistance(int64_t id, int64_t d) const {
   d = std::clamp<int64_t>(d, 0, pca_->dim());
-  const float* x = rotated_base_->Row(id);
-  const float c1 = norms_sqr_[id] + query_norm_sqr_;
+  const DdcResQueryState& state = query_state();
+  const float c1 = norms_sqr_[id] + state.norm_sqr;
   const float c2 =
-      2.0f * simd::InnerProduct(x, active_rotated_query_,
+      2.0f * simd::InnerProduct(rotated_base_->Row(id), state.rotated.data(),
                                 static_cast<std::size_t>(d));
   return std::max(0.0f, c1 - c2);
 }

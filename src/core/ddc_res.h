@@ -18,6 +18,7 @@
 
 #include "core/error_model.h"
 #include "index/distance_computer.h"
+#include "index/query_slots.h"
 #include "linalg/matrix.h"
 #include "linalg/pca.h"
 
@@ -39,7 +40,17 @@ struct DdcResOptions {
   bool incremental = true;
 };
 
-class DdcResComputer : public index::DistanceComputer {
+// Per-query state of DdcResComputer.
+struct DdcResQueryState {
+  std::vector<float> rotated;  // PCA-rotated query
+  // bounds[s] = multiplier * sigma(stage s's dimension), precomputed once
+  // per query so the per-candidate loop is sqrt-free.
+  std::vector<float> bounds;
+  float norm_sqr = 0.0f;  // ||q||^2
+};
+
+class DdcResComputer
+    : public index::QuerySlots<index::DistanceComputer, DdcResQueryState> {
  public:
   // `pca` and `rotated_base` are shared artifacts (see MethodFactory) and
   // must outlive the computer. rotated_base rows are PCA-transformed base
@@ -54,7 +65,6 @@ class DdcResComputer : public index::DistanceComputer {
     return options_.incremental ? "ddc-res" : "ddc-res-basic";
   }
 
-  void BeginQuery(const float* query) override;
   index::EstimateResult EstimateWithThreshold(int64_t id,
                                               float tau) override;
   void EstimateBatch(const int64_t* ids, int count, float tau,
@@ -70,11 +80,6 @@ class DdcResComputer : public index::DistanceComputer {
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                           int count, float tau,
                           index::EstimateResult* out) override;
-  // Group form: rotated queries, query norms, and per-stage bounds for
-  // every member built once per SetQueryBatch; SelectQuery swaps pointers.
-  void SetQueryBatch(const float* queries, int count,
-                     int64_t stride) override;
-  void SelectQuery(int g) override;
   float ExactDistance(int64_t id) override;
 
   float multiplier() const { return multiplier_; }
@@ -87,10 +92,19 @@ class DdcResComputer : public index::DistanceComputer {
   int64_t ExtraBytes() const;
 
  private:
+  void BuildQueryState(const float* query,
+                       DdcResQueryState& state) override;
+  // The block scorer behind EstimateBatch and EstimateBatchCodes (see
+  // index::ScanHeadsThenRows): `record(pos)` yields candidate pos's
+  // first-stage head and ||x||^2 — its full rotated row and norms_sqr_
+  // entry when gathering by id, its record in the bucket stream otherwise.
+  template <typename RecordFn>
+  void ScoreBlock(RecordFn&& record, const int64_t* ids, int count,
+                  float tau, index::EstimateResult* out);
   // Cascade continuation once the first stage's C2 accumulation (2<x,q>
   // over stage_dims_[0] dims) is in hand; `x` is the candidate's rotated
-  // row and `c1` its ||x||^2 + ||q||^2. Shared by the sequential, batched,
-  // and code-resident first-stage paths. Requires non-empty stage_dims_.
+  // row and `c1` its ||x||^2 + ||q||^2. Shared by the sequential and block
+  // paths. Requires non-empty stage_dims_.
   index::EstimateResult ContinueFromFirstStage(const float* x, float c1,
                                                float tau, float c2);
   // Bytes of a record's code part: the first-stage head of the rotated row.
@@ -107,24 +121,6 @@ class DdcResComputer : public index::DistanceComputer {
   ResidualErrorModel error_model_;
   std::vector<int64_t> stage_dims_;  // init, init+delta, ... (< D)
 
-  // Builds one query's rotated form, squared norm, and per-stage bounds —
-  // the shared body of BeginQuery and SetQueryBatch, so group members are
-  // bit-identical to single-query preparation.
-  void BuildQueryState(const float* query, float* rotated, float* bounds,
-                       float* norm_sqr);
-
-  // Per-query state. stage_bounds_[s] = multiplier * sigma(stage_dims_[s]),
-  // precomputed once per query so the per-candidate loop is sqrt-free.
-  std::vector<float> rotated_query_;
-  std::vector<float> stage_bounds_;
-  float query_norm_sqr_ = 0.0f;
-  // What the estimate paths read: the single-query buffers after
-  // BeginQuery, rows of the group buffers after SelectQuery.
-  const float* active_rotated_query_ = nullptr;
-  const float* active_stage_bounds_ = nullptr;
-  std::vector<float> group_rotated_;  // group x dim
-  std::vector<float> group_bounds_;   // group x stage_dims_.size()
-  std::vector<float> group_norms_;    // ||q||^2 per member
   // Lazily built (content fingerprint is O(n)); computers are per-thread.
   mutable std::string code_tag_;
 };

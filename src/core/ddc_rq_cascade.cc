@@ -129,38 +129,15 @@ DdcRqCascadeComputer::DdcRqCascadeComputer(
   RESINFER_CHECK(artifacts->rq.trained());
   RESINFER_CHECK(artifacts->rq.dim() == base->cols());
   RESINFER_CHECK(artifacts->correctors.size() == artifacts->levels.size());
-  ip_table_.resize(static_cast<std::size_t>(artifacts->rq.ip_table_size()));
-  active_ip_table_ = ip_table_.data();
 }
 
-void DdcRqCascadeComputer::BeginQuery(const float* query) {
-  query_ = query;
-  artifacts_->rq.ComputeIpTable(query, ip_table_.data());
-  query_norm_sqr_ =
+void DdcRqCascadeComputer::BuildQueryState(const float* query,
+                                           DdcRqCascadeQueryState& state) {
+  state.ip_table.resize(
+      static_cast<std::size_t>(artifacts_->rq.ip_table_size()));
+  artifacts_->rq.ComputeIpTable(query, state.ip_table.data());
+  state.norm_sqr =
       simd::Norm2Sqr(query, static_cast<std::size_t>(base_->cols()));
-  active_ip_table_ = ip_table_.data();
-}
-
-void DdcRqCascadeComputer::SetQueryBatch(const float* queries, int count,
-                                         int64_t stride) {
-  index::DistanceComputer::SetQueryBatch(queries, count, stride);
-  const int64_t table_size = artifacts_->rq.ip_table_size();
-  group_tables_.resize(static_cast<std::size_t>(count * table_size));
-  group_norms_.resize(static_cast<std::size_t>(count));
-  for (int g = 0; g < count; ++g) {
-    const float* q = GroupQuery(g);
-    artifacts_->rq.ComputeIpTable(q, group_tables_.data() + g * table_size);
-    group_norms_[static_cast<std::size_t>(g)] =
-        simd::Norm2Sqr(q, static_cast<std::size_t>(base_->cols()));
-  }
-}
-
-void DdcRqCascadeComputer::SelectQuery(int g) {
-  RESINFER_DCHECK(g >= 0 && g < group_count_);
-  query_ = GroupQuery(g);
-  active_ip_table_ =
-      group_tables_.data() + g * artifacts_->rq.ip_table_size();
-  query_norm_sqr_ = group_norms_[static_cast<std::size_t>(g)];
 }
 
 index::EstimateResult DdcRqCascadeComputer::EstimateWithThreshold(
@@ -169,6 +146,7 @@ index::EstimateResult DdcRqCascadeComputer::EstimateWithThreshold(
   const quant::RqCodebook& rq = artifacts_->rq;
   const auto num_levels = static_cast<int64_t>(artifacts_->levels.size());
   const uint8_t* code = artifacts_->codes.data() + id * rq.code_size();
+  const DdcRqCascadeQueryState& state = query_state();
 
   if (std::isfinite(tau)) {
     float ip = 0.0f;
@@ -176,13 +154,13 @@ index::EstimateResult DdcRqCascadeComputer::EstimateWithThreshold(
     for (int64_t l = 0; l < num_levels; ++l) {
       const int stages = artifacts_->levels[static_cast<std::size_t>(l)];
       for (; stage < stages; ++stage) {
-        ip += active_ip_table_[static_cast<std::size_t>(
+        ip += state.ip_table[static_cast<std::size_t>(
             static_cast<int64_t>(stage) * rq.num_centroids() +
             rq.CodeAt(code, stage))];
         ++stage_lookups_;
       }
       const float approx =
-          query_norm_sqr_ - 2.0f * ip +
+          state.norm_sqr - 2.0f * ip +
           artifacts_->level_norms[static_cast<std::size_t>(id * num_levels +
                                                            l)];
       const float extra = artifacts_->level_errors[static_cast<std::size_t>(
@@ -196,8 +174,7 @@ index::EstimateResult DdcRqCascadeComputer::EstimateWithThreshold(
   }
   ++stats_.exact_computations;
   stats_.dims_scanned += dim();
-  return {false, simd::L2Sqr(query_, base_->Row(id),
-                             static_cast<std::size_t>(dim()))};
+  return {false, ExactDistance(id)};
 }
 
 std::string DdcRqCascadeComputer::code_tag() const {
@@ -238,41 +215,48 @@ quant::CodeStore DdcRqCascadeComputer::MakeCodeStore() const {
   return store;
 }
 
-void DdcRqCascadeComputer::EstimateBatchCodes(const uint8_t* codes,
-                                              const int64_t* ids, int count,
-                                              float tau,
-                                              index::EstimateResult* out) {
-  // Per-candidate cascade identical to EstimateWithThreshold, with the
-  // code bytes and per-level norms/errors read off the sequential record
-  // stream; only exact fallbacks touch the (id-gathered) base rows.
+namespace {
+
+// A candidate's cascade inputs: its RQ code, then per level its
+// reconstruction norm and trust feature.
+struct CascadeRecord {
+  const uint8_t* code;
+  const float* norms;
+  const float* errors;
+};
+
+}  // namespace
+
+template <typename RecordFn>
+void DdcRqCascadeComputer::ScoreBlock(RecordFn&& record, const int64_t* ids,
+                                      int count, float tau,
+                                      index::EstimateResult* out) {
+  // Per-candidate cascade identical to EstimateWithThreshold; only exact
+  // fallbacks touch the (id-gathered) base rows.
   const quant::RqCodebook& rq = artifacts_->rq;
   const auto num_levels = static_cast<int64_t>(artifacts_->levels.size());
-  const int64_t code_size = rq.code_size();
-  const int64_t stride =
-      quant::CodeRecordStride(code_size, static_cast<int>(2 * num_levels));
+  const DdcRqCascadeQueryState& state = query_state();
   const bool tau_finite = std::isfinite(tau);
 
   for (int i = 0; i < count; ++i) {
-    const uint8_t* rec = codes + i * stride;
-    if (i + 1 < count) RESINFER_PREFETCH(rec + stride);
+    if (i + 1 < count) RESINFER_PREFETCH(record(i + 1).code);
     ++stats_.candidates;
     bool pruned = false;
     if (tau_finite) {
-      const float* norms = quant::RecordSidecars(rec, code_size);
-      const float* errors = norms + num_levels;
+      const CascadeRecord rec = record(i);
       float ip = 0.0f;
       int stage = 0;
       for (int64_t l = 0; l < num_levels && !pruned; ++l) {
         const int stages = artifacts_->levels[static_cast<std::size_t>(l)];
         for (; stage < stages; ++stage) {
-          ip += active_ip_table_[static_cast<std::size_t>(
+          ip += state.ip_table[static_cast<std::size_t>(
               static_cast<int64_t>(stage) * rq.num_centroids() +
-              rq.CodeAt(rec, stage))];
+              rq.CodeAt(rec.code, stage))];
           ++stage_lookups_;
         }
-        const float approx = query_norm_sqr_ - 2.0f * ip + norms[l];
+        const float approx = state.norm_sqr - 2.0f * ip + rec.norms[l];
         if (artifacts_->correctors[static_cast<std::size_t>(l)]
-                .PredictPrunable(approx, tau, errors[l])) {
+                .PredictPrunable(approx, tau, rec.errors[l])) {
           ++stats_.pruned;
           out[i] = {true, approx};
           pruned = true;
@@ -282,17 +266,47 @@ void DdcRqCascadeComputer::EstimateBatchCodes(const uint8_t* codes,
     if (!pruned) {
       ++stats_.exact_computations;
       stats_.dims_scanned += dim();
-      out[i] = {false, simd::L2Sqr(query_, base_->Row(ids[i]),
-                                   static_cast<std::size_t>(dim()))};
+      out[i] = {false, ExactDistance(ids[i])};
     }
   }
 }
 
+void DdcRqCascadeComputer::EstimateBatch(const int64_t* ids, int count,
+                                         float tau,
+                                         index::EstimateResult* out) {
+  const int64_t code_size = artifacts_->rq.code_size();
+  const auto num_levels = static_cast<int64_t>(artifacts_->levels.size());
+  ScoreBlock(
+      [this, ids, code_size, num_levels](int pos) {
+        const int64_t id = ids[pos];
+        return CascadeRecord{
+            artifacts_->codes.data() + id * code_size,
+            artifacts_->level_norms.data() + id * num_levels,
+            artifacts_->level_errors.data() + id * num_levels};
+      },
+      ids, count, tau, out);
+}
+
+void DdcRqCascadeComputer::EstimateBatchCodes(const uint8_t* codes,
+                                              const int64_t* ids, int count,
+                                              float tau,
+                                              index::EstimateResult* out) {
+  const int64_t code_size = artifacts_->rq.code_size();
+  const auto num_levels = static_cast<int64_t>(artifacts_->levels.size());
+  const int64_t stride =
+      quant::CodeRecordStride(code_size, static_cast<int>(2 * num_levels));
+  ScoreBlock(
+      [codes, stride, code_size, num_levels](int pos) {
+        const uint8_t* rec = codes + pos * stride;
+        const float* norms = quant::RecordSidecars(rec, code_size);
+        return CascadeRecord{rec, norms, norms + num_levels};
+      },
+      ids, count, tau, out);
+}
+
 float DdcRqCascadeComputer::ExactDistance(int64_t id) {
-  RESINFER_DCHECK(query_ != nullptr);
-  ++stats_.exact_computations;
-  stats_.dims_scanned += dim();
-  return simd::L2Sqr(query_, base_->Row(id),
+  RESINFER_DCHECK(query() != nullptr);
+  return simd::L2Sqr(query(), base_->Row(id),
                      static_cast<std::size_t>(dim()));
 }
 
@@ -301,8 +315,9 @@ float DdcRqCascadeComputer::ApproximateDistance(int64_t id,
   RESINFER_DCHECK(level >= 0 &&
                   level < static_cast<int>(artifacts_->levels.size()));
   const auto num_levels = static_cast<int64_t>(artifacts_->levels.size());
+  const DdcRqCascadeQueryState& state = query_state();
   return TruncatedAdc(
-      artifacts_->rq, active_ip_table_, query_norm_sqr_,
+      artifacts_->rq, state.ip_table.data(), state.norm_sqr,
       artifacts_->codes.data() + id * artifacts_->rq.code_size(),
       artifacts_->levels[static_cast<std::size_t>(level)],
       artifacts_->level_norms[static_cast<std::size_t>(id * num_levels +

@@ -24,6 +24,7 @@
 #include "core/linear_corrector.h"
 #include "core/training_data.h"
 #include "index/distance_computer.h"
+#include "index/query_slots.h"
 #include "linalg/matrix.h"
 #include "quant/rq.h"
 
@@ -63,7 +64,16 @@ DdcRqCascadeArtifacts TrainDdcRqCascade(
     const linalg::Matrix& base, const linalg::Matrix& train_queries,
     const DdcRqCascadeOptions& options = DdcRqCascadeOptions());
 
-class DdcRqCascadeComputer : public index::DistanceComputer {
+// Per-query state of DdcRqCascadeComputer: the RQ inner-product table and
+// ||q||^2.
+struct DdcRqCascadeQueryState {
+  std::vector<float> ip_table;
+  float norm_sqr = 0.0f;
+};
+
+class DdcRqCascadeComputer
+    : public index::QuerySlots<index::DistanceComputer,
+                               DdcRqCascadeQueryState> {
  public:
   // `base` (original space, for exact fallbacks) and `artifacts` are
   // shared and must outlive the computer.
@@ -74,9 +84,10 @@ class DdcRqCascadeComputer : public index::DistanceComputer {
   int64_t size() const override { return base_->rows(); }
   std::string name() const override { return "ddc-rq-cascade"; }
 
-  void BeginQuery(const float* query) override;
   index::EstimateResult EstimateWithThreshold(int64_t id,
                                               float tau) override;
+  void EstimateBatch(const int64_t* ids, int count, float tau,
+                     index::EstimateResult* out) override;
   // Code-resident form; record = [rq code | level_norms (L floats),
   // level_errors (L floats)] with L = levels.size(). The whole cascade —
   // per-level norms and trust features included — streams sequentially;
@@ -86,11 +97,6 @@ class DdcRqCascadeComputer : public index::DistanceComputer {
   void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                           int count, float tau,
                           index::EstimateResult* out) override;
-  // Group form: per-member IP tables and query norms built once per
-  // SetQueryBatch; SelectQuery swaps pointers.
-  void SetQueryBatch(const float* queries, int count,
-                     int64_t stride) override;
-  void SelectQuery(int g) override;
   float ExactDistance(int64_t id) override;
 
   // ADC distance truncated to `level` (diagnostics / tests).
@@ -101,17 +107,18 @@ class DdcRqCascadeComputer : public index::DistanceComputer {
   int64_t stage_lookups() const { return stage_lookups_; }
 
  private:
+  void BuildQueryState(const float* query,
+                       DdcRqCascadeQueryState& state) override;
+  // The block scorer behind EstimateBatch and EstimateBatchCodes:
+  // `record(pos)` yields candidate pos's code and its per-level norms and
+  // trust features, gathered by id or read off the bucket stream.
+  template <typename RecordFn>
+  void ScoreBlock(RecordFn&& record, const int64_t* ids, int count,
+                  float tau, index::EstimateResult* out);
+
   const linalg::Matrix* base_;
   const DdcRqCascadeArtifacts* artifacts_;
 
-  const float* query_ = nullptr;
-  std::vector<float> ip_table_;
-  float query_norm_sqr_ = 0.0f;
-  // The table the cascade reads: ip_table_ after BeginQuery, a row of
-  // group_tables_ after SelectQuery.
-  const float* active_ip_table_ = nullptr;
-  std::vector<float> group_tables_;  // group x ip_table_size
-  std::vector<float> group_norms_;   // ||q||^2 per member
   int64_t stage_lookups_ = 0;
   // Lazily built (content fingerprint is O(n)); computers are per-thread.
   mutable std::string code_tag_;

@@ -122,37 +122,52 @@ void RefineExactL2(const float* query, std::size_t d, RowFn&& row,
                    const int64_t* ids, const int* pick, int count,
                    EstimateResult* out) {
   const auto pos = [pick](int j) { return pick != nullptr ? pick[j] : j; };
-  const float* rows[simd::kBatchWidth];
-  float dist[simd::kBatchWidth];
-  int s = 0;
-  for (; s + simd::kBatchWidth <= count; s += simd::kBatchWidth) {
-    for (int r = 0; r < simd::kBatchWidth; ++r) {
-      rows[r] = row(ids[pos(s + r)]);
-    }
-    if (s + 2 * simd::kBatchWidth <= count) {
-      for (int r = 0; r < simd::kBatchWidth; ++r) {
-        RESINFER_PREFETCH(row(ids[pos(s + simd::kBatchWidth + r)]));
-      }
-    }
-    simd::L2SqrBatch4(query, rows, d, dist);
-    for (int r = 0; r < simd::kBatchWidth; ++r) {
-      out[pos(s + r)] = {false, dist[r]};
+  ScanBatch4([&](int j) { return row(ids[pos(j)]); },
+             [query, d](const float* const* rows, float* dist) {
+               simd::L2SqrBatch4(query, rows, d, dist);
+             },
+             [&](int j, float dist) { out[pos(j)] = {false, dist}; },
+             [&](int j) {
+               out[pos(j)] = {false, simd::L2Sqr(query, row(ids[pos(j)]), d)};
+             },
+             count);
+}
+
+// The prune/refine decision for one chunk of at most kRefineChunk
+// candidates whose approximate distances and trust features are in hand:
+// `prunable(approx, extra)` applies the corrector at the caller's tau,
+// pruned candidates keep their approximation, survivors are refined
+// exactly via RefineExactL2, and stats advance as the equivalent
+// sequential loop would.
+template <typename RowFn, typename PruneFn>
+void PruneRefineChunk(const float* query, std::size_t d, RowFn&& row,
+                      PruneFn&& prunable, bool tau_finite, const int64_t* ids,
+                      const float* approx, const float* extra, int count,
+                      ComputerStats& stats, EstimateResult* out) {
+  RESINFER_DCHECK(count <= kRefineChunk);
+  int survivors[kRefineChunk];
+  int num_survivors = 0;
+  stats.candidates += count;
+  for (int j = 0; j < count; ++j) {
+    if (tau_finite && prunable(approx[j], extra[j])) {
+      ++stats.pruned;
+      out[j] = {true, approx[j]};
+    } else {
+      survivors[num_survivors++] = j;
     }
   }
-  for (; s < count; ++s) {
-    out[pos(s)] = {false, simd::L2Sqr(query, row(ids[pos(s)]), d)};
-  }
+  stats.exact_computations += num_survivors;
+  stats.dims_scanned +=
+      static_cast<int64_t>(num_survivors) * static_cast<int64_t>(d);
+  RefineExactL2(query, d, row, ids, survivors, num_survivors, out);
 }
 
 // The chunked estimate/prune/refine loop shared by the corrector-backed
-// batch computers (DdcAny, DdcOpq): `approx(ids, start, n, out, extras)`
-// fills a chunk's approximate distances and per-point trust features
-// (extras arrive zeroed, matching the sequential path's scratch); `start`
-// is the chunk's offset from the block head, so code-resident callers can
-// address records at start * stride in their stream while id-gather
-// callers ignore it. `prunable(approx, extra)` applies the corrector at
-// the caller's tau. Survivors are refined exactly via RefineExactL2 and
-// stats advance as the equivalent sequential loop would.
+// batch computers (DdcAny, DdcOpq): `approx(start, n, out, extras)` fills
+// the approximate distances and per-point trust features of the n
+// candidates at positions [start, start + n) of the block (extras arrive
+// zeroed, matching the sequential path's scratch); PruneRefineChunk then
+// decides each chunk.
 template <typename RowFn, typename ApproxFn, typename PruneFn>
 void EstimatePruneRefine(const float* query, std::size_t d, RowFn&& row,
                          ApproxFn&& approx, PruneFn&& prunable,
@@ -160,28 +175,12 @@ void EstimatePruneRefine(const float* query, std::size_t d, RowFn&& row,
                          ComputerStats& stats, EstimateResult* out) {
   float approx_dist[kRefineChunk];
   float extra[kRefineChunk];
-  int survivors[kRefineChunk];
-
   for (int i = 0; i < count; i += kRefineChunk) {
     const int block = std::min(kRefineChunk, count - i);
-    stats.candidates += block;
     std::fill_n(extra, block, 0.0f);
-    approx(ids + i, i, block, approx_dist, extra);
-
-    int num_survivors = 0;
-    for (int j = 0; j < block; ++j) {
-      if (tau_finite && prunable(approx_dist[j], extra[j])) {
-        ++stats.pruned;
-        out[i + j] = {true, approx_dist[j]};
-      } else {
-        survivors[num_survivors++] = i + j;
-      }
-    }
-    stats.exact_computations += num_survivors;
-    stats.dims_scanned +=
-        static_cast<int64_t>(num_survivors) * static_cast<int64_t>(d);
-
-    RefineExactL2(query, d, row, ids, survivors, num_survivors, out);
+    approx(i, block, approx_dist, extra);
+    PruneRefineChunk(query, d, row, prunable, tau_finite, ids + i,
+                     approx_dist, extra, block, stats, out + i);
   }
 }
 

@@ -13,14 +13,10 @@ void DistanceComputer::EstimateBatch(const int64_t* ids, int count, float tau,
 
 void DistanceComputer::SetQueryBatch(const float* queries, int count,
                                      int64_t stride) {
-  RESINFER_CHECK(queries != nullptr && count > 0 &&
-                 count <= kMaxQueryGroup && stride >= dim());
-  group_queries_ = queries;
-  group_count_ = count;
-  group_stride_ = stride;
+  batch_.Set(queries, count, stride, dim());
 }
 
-void DistanceComputer::SelectQuery(int g) { BeginQuery(GroupQuery(g)); }
+void DistanceComputer::SelectQuery(int g) { BeginQuery(batch_.query(g)); }
 
 void DistanceComputer::EstimateBatchGroup(const int64_t* ids, int count,
                                           const int* members, int num_members,
@@ -86,7 +82,7 @@ void FlatDistanceComputer::EstimateBatchGroup(const int64_t* ids, int count,
     RESINFER_DCHECK(ids[i] >= 0 && ids[i] < size_);
   }
   const float* queries[kMaxQueryGroup];
-  for (int j = 0; j < num_members; ++j) queries[j] = GroupQuery(members[j]);
+  for (int j = 0; j < num_members; ++j) queries[j] = batch_.query(members[j]);
   for (int j = 0; j < num_members; ++j) {
     stats_.candidates += count;
     stats_.exact_computations += count;

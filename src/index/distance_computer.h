@@ -44,6 +44,7 @@
 #include <limits>
 #include <string>
 
+#include "index/query_slots.h"
 #include "quant/code_store.h"
 #include "util/macros.h"
 
@@ -98,16 +99,6 @@ struct ComputerStats {
   }
 };
 
-// Upper bound on the query-group sizes the library's computers support:
-// the tiled scan paths keep per-member scratch (taus, per-member results,
-// ADC table pointers) on the stack, sized by this. Multi-query entry points
-// (IvfIndex::SearchBatch) chunk larger batches into groups of at most this
-// many queries. 32 keeps the largest per-group scratch (32 queries x
-// 32-candidate block of EstimateResults) at 8KB while giving co-probing
-// queries enough company that popular buckets are streamed once for many
-// members.
-inline constexpr int kMaxQueryGroup = 32;
-
 class DistanceComputer {
  public:
   virtual ~DistanceComputer() = default;
@@ -157,8 +148,10 @@ class DistanceComputer {
   // the one MakeCodeStore declares. `ids` still names the candidates —
   // exact refinement of survivors reads full-precision rows by id, exactly
   // like EstimateBatch. The equivalence/stats/tau contract above applies
-  // verbatim: out[i] must be bit-identical to the id-gather path. The
-  // default ignores the stream and gathers.
+  // verbatim: out[i] must be bit-identical to the id-gather path, so
+  // code-capable computers run both entry points through one private block
+  // scorer that reads records either gathered by id or at position *
+  // stride in the stream. The default ignores the stream and gathers.
   virtual void EstimateBatchCodes(const uint8_t* codes, const int64_t* ids,
                                   int count, float tau, EstimateResult* out) {
     (void)codes;
@@ -173,12 +166,16 @@ class DistanceComputer {
   // (member g starts at queries + g * stride floats, count <=
   // kMaxQueryGroup); SelectQuery(g) makes member g current — equivalent to
   // BeginQuery(queries + g * stride) — after which every per-query entry
-  // point above serves that member. The base implementation literally calls
-  // BeginQuery on each switch, which is correct for any computer; the DDC
-  // computers override the pair to build all per-query state (ADC tables,
-  // rotated queries, cascade bounds) once in SetQueryBatch and make
-  // SelectQuery a pointer swap. Calling BeginQuery directly afterwards
-  // reverts to plain single-query operation.
+  // point above serves that member. Calling BeginQuery directly afterwards
+  // reverts to plain single-query operation without disturbing the group:
+  // a later SelectQuery(g) serves member g again.
+  //
+  // The base implementation records the group and calls BeginQuery on each
+  // switch, which is correct for any computer whose per-query state is a
+  // pointer. Computers with real per-query state (rotated queries, ADC
+  // tables, cascade bounds) declare it once as a struct and derive from
+  // QuerySlots (index/query_slots.h), which builds every member's state
+  // once per group and makes SelectQuery a pointer move.
   virtual void SetQueryBatch(const float* queries, int count, int64_t stride);
   virtual void SelectQuery(int g);
 
@@ -217,7 +214,11 @@ class DistanceComputer {
   // order is bit-identical per member; only memory behavior differs.
   virtual bool group_scan_tiles_blocks() const { return false; }
 
-  // Exact distance to point `id` for the current query.
+  // Exact distance to point `id` for the current query. Never touches
+  // stats(): graph descents call it outside the estimate protocol, and
+  // counting those calls would make one search report different counters
+  // depending on the estimator (and inflate ScanRate, whose denominator is
+  // `candidates`).
   virtual float ExactDistance(int64_t id) = 0;
 
   // Hook for graph indexes: called when the search expands node `node` so
@@ -227,25 +228,16 @@ class DistanceComputer {
   virtual void SetExpansionAnchor(int64_t /*node*/,
                                   float /*distance_to_node*/) {}
 
-  // Virtual so forwarding wrappers (e.g. the sequential-path adapter in
-  // bench_batch_scaling) can expose the wrapped computer's counters without
+  // Virtual so forwarding wrappers (e.g. the tracing wrapper of the
+  // benchmark harness) can expose the wrapped computer's counters without
   // mirroring them on every call.
   virtual ComputerStats& stats() { return stats_; }
   virtual const ComputerStats& stats() const { return stats_; }
 
  protected:
-  const float* GroupQuery(int g) const {
-    RESINFER_DCHECK(group_queries_ != nullptr && g >= 0 &&
-                    g < group_count_);
-    return group_queries_ + static_cast<int64_t>(g) * group_stride_;
-  }
-
   ComputerStats stats_;
-  // Group pointers stashed by the base SetQueryBatch (overrides call the
-  // base first, then build their per-member state).
-  const float* group_queries_ = nullptr;
-  int group_count_ = 0;
-  int64_t group_stride_ = 0;
+  // The group declared by the base SetQueryBatch.
+  QueryBatch batch_;
 };
 
 inline constexpr float kInfDistance = std::numeric_limits<float>::infinity();

@@ -29,6 +29,74 @@ std::vector<Neighbor> DrainHeap(ResultHeap& heap) {
   return out;
 }
 
+// The running top-k bound: the heap's worst distance once it holds k.
+float Tau(const ResultHeap& heap, int k) {
+  return static_cast<int>(heap.size()) == k ? heap.top().first
+                                             : kInfDistance;
+}
+
+// Offers a scored block to the top-k heap; pruned candidates never enter.
+void Push(ResultHeap& heap, int k, const EstimateResult* vals,
+          const int64_t* ids, int count) {
+  for (int c = 0; c < count; ++c) {
+    if (vals[c].pruned) continue;
+    if (static_cast<int>(heap.size()) < k) {
+      heap.emplace(vals[c].distance, ids[c]);
+    } else if (vals[c].distance < heap.top().first) {
+      heap.pop();
+      heap.emplace(vals[c].distance, ids[c]);
+    }
+  }
+}
+
+// Walks a bucket of `len` candidates in kScanBlock blocks, calling
+// `score(pos, block)` on each after pulling the next block's id range
+// toward the cache (the candidate rows themselves are prefetched inside
+// the computers' batch overrides).
+template <typename ScoreFn>
+void ForEachBlock(const int64_t* bucket_ids, int64_t len, ScoreFn&& score) {
+  for (int64_t pos = 0; pos < len; pos += kScanBlock) {
+    const int block =
+        static_cast<int>(std::min<int64_t>(kScanBlock, len - pos));
+    if (pos + block < len) {
+      RESINFER_PREFETCH(bucket_ids + pos + block);
+      RESINFER_PREFETCH(bucket_ids + pos + block + 8);
+    }
+    score(pos, block);
+  }
+}
+
+// Scores one bucket for the computer's current query, block by block with
+// tau refreshed from `heap` before each block — the schedule Search and
+// every member of a query-major scan follow, which keeps them
+// bit-identical. `codes` is the bucket's record stream, or null to gather.
+void ScanBucket(DistanceComputer& computer, const int64_t* ids,
+                const uint8_t* codes, int64_t code_stride, int64_t len,
+                int k, ResultHeap& heap) {
+  EstimateResult est[kScanBlock];
+  ForEachBlock(ids, len, [&](int64_t pos, int block) {
+    const float tau = Tau(heap, k);
+    if (codes != nullptr) {
+      computer.EstimateBatchCodes(codes + pos * code_stride, ids + pos,
+                                  block, tau, est);
+    } else {
+      computer.EstimateBatch(ids + pos, block, tau, est);
+    }
+    Push(heap, k, est, ids + pos, block);
+  });
+}
+
+// Record stride of the attached store when `computer` can stream it, 0 to
+// gather. The tag encodes method + record layout + a content fingerprint,
+// so a mismatched or stale store is never misread; computers cache the
+// string.
+int64_t CodeStride(const IvfIndex& index, const DistanceComputer& computer) {
+  if (!index.has_codes()) return 0;
+  const std::string tag = computer.code_tag();
+  return !tag.empty() && index.codes().tag() == tag ? index.codes().stride()
+                                                    : 0;
+}
+
 }  // namespace
 
 IvfIndex IvfIndex::Build(const linalg::Matrix& base,
@@ -155,55 +223,12 @@ std::vector<Neighbor> IvfIndex::Search(DistanceComputer& computer,
       quant::NearestCentroids(centroids_, query, nprobe);
 
   ResultHeap heap;
-  EstimateResult est[kScanBlock];
-
-  // Route through the code-resident stream only when the attached store
-  // was built by (a computer identical to) `computer` — the tag encodes
-  // method + record layout + a content fingerprint, so a mismatched or
-  // stale store is never misread. One virtual call per search; computers
-  // cache the string.
-  const std::string computer_tag =
-      has_codes() ? computer.code_tag() : std::string();
-  const bool code_resident =
-      !computer_tag.empty() && codes_.tag() == computer_tag;
-  const int64_t code_stride = code_resident ? codes_.stride() : 0;
-
+  const int64_t code_stride = CodeStride(*this, computer);
   for (int32_t bucket : probe) {
-    const int64_t* bucket_ids = BucketIds(bucket);
-    const int64_t len = BucketSize(bucket);
-    const uint8_t* bucket_codes =
-        code_resident ? BucketCodes(bucket) : nullptr;
-    for (int64_t pos = 0; pos < len; pos += kScanBlock) {
-      const int block =
-          static_cast<int>(std::min<int64_t>(kScanBlock, len - pos));
-      // Pull the next block's id range toward the cache while this block
-      // computes (the candidate rows themselves are prefetched inside the
-      // computers' EstimateBatch overrides).
-      if (pos + block < len) {
-        RESINFER_PREFETCH(bucket_ids + pos + block);
-        RESINFER_PREFETCH(bucket_ids + pos + block + 8);
-      }
-      const float tau = static_cast<int>(heap.size()) == k
-                            ? heap.top().first
-                            : kInfDistance;
-      if (code_resident) {
-        computer.EstimateBatchCodes(bucket_codes + pos * code_stride,
-                                    bucket_ids + pos, block, tau, est);
-      } else {
-        computer.EstimateBatch(bucket_ids + pos, block, tau, est);
-      }
-      for (int j = 0; j < block; ++j) {
-        if (est[j].pruned) continue;
-        if (static_cast<int>(heap.size()) < k) {
-          heap.emplace(est[j].distance, bucket_ids[pos + j]);
-        } else if (est[j].distance < heap.top().first) {
-          heap.pop();
-          heap.emplace(est[j].distance, bucket_ids[pos + j]);
-        }
-      }
-    }
+    ScanBucket(computer, BucketIds(bucket),
+               code_stride > 0 ? BucketCodes(bucket) : nullptr, code_stride,
+               BucketSize(bucket), k, heap);
   }
-
   return DrainHeap(heap);
 }
 
@@ -222,13 +247,8 @@ void IvfIndex::SearchBatchRange(DistanceComputer& computer,
   }
   nprobe = std::clamp(nprobe, 1, num_clusters());
 
-  // Route through the code-resident stream under the same tag match as
-  // Search; resolved once for the whole batch.
-  const std::string computer_tag =
-      has_codes() ? computer.code_tag() : std::string();
-  const bool code_resident =
-      !computer_tag.empty() && codes_.tag() == computer_tag;
-  const int64_t code_stride = code_resident ? codes_.stride() : 0;
+  // Resolved once for the whole batch.
+  const int64_t code_stride = CodeStride(*this, computer);
   const bool tile_blocks = computer.group_scan_tiles_blocks();
 
   for (int64_t start = 0; start < count; start += kMaxQueryGroup) {
@@ -294,35 +314,15 @@ void IvfIndex::SearchBatchRange(DistanceComputer& computer,
       const int64_t* bucket_ids = BucketIds(best_bucket);
       const int64_t len = BucketSize(best_bucket);
       const uint8_t* bucket_codes =
-          code_resident ? BucketCodes(best_bucket) : nullptr;
-      const auto push = [k](ResultHeap& heap, const EstimateResult* vals,
-                            const int64_t* ids, int block) {
-        for (int c = 0; c < block; ++c) {
-          if (vals[c].pruned) continue;
-          if (static_cast<int>(heap.size()) < k) {
-            heap.emplace(vals[c].distance, ids[c]);
-          } else if (vals[c].distance < heap.top().first) {
-            heap.pop();
-            heap.emplace(vals[c].distance, ids[c]);
-          }
-        }
-      };
+          code_stride > 0 ? BucketCodes(best_bucket) : nullptr;
       if (tile_blocks && num_members > 1) {
         // Block-tiled order: each kScanBlock block is scored for every
         // member in one group call while its candidates sit in L1.
-        for (int64_t pos = 0; pos < len; pos += kScanBlock) {
-          const int block =
-              static_cast<int>(std::min<int64_t>(kScanBlock, len - pos));
-          if (pos + block < len) {
-            RESINFER_PREFETCH(bucket_ids + pos + block);
-            RESINFER_PREFETCH(bucket_ids + pos + block + 8);
-          }
+        ForEachBlock(bucket_ids, len, [&](int64_t pos, int block) {
           for (int j = 0; j < num_members; ++j) {
-            const ResultHeap& heap = heaps[members[j]];
-            taus[j] = static_cast<int>(heap.size()) == k ? heap.top().first
-                                                         : kInfDistance;
+            taus[j] = Tau(heaps[members[j]], k);
           }
-          if (code_resident) {
+          if (bucket_codes != nullptr) {
             computer.EstimateBatchCodesGroup(
                 bucket_codes + pos * code_stride, bucket_ids + pos, block,
                 members, num_members, taus, est);
@@ -331,10 +331,10 @@ void IvfIndex::SearchBatchRange(DistanceComputer& computer,
                                         num_members, taus, est);
           }
           for (int j = 0; j < num_members; ++j) {
-            push(heaps[members[j]], est + j * block, bucket_ids + pos,
+            Push(heaps[members[j]], k, est + j * block, bucket_ids + pos,
                  block);
           }
-        }
+        });
       } else {
         // Member-major order: one member scans the whole bucket before
         // the next, so large per-query state (ADC tables) stays
@@ -343,25 +343,8 @@ void IvfIndex::SearchBatchRange(DistanceComputer& computer,
         // member's sequential block-and-tau schedule.
         for (int j = 0; j < num_members; ++j) {
           computer.SelectQuery(members[j]);
-          ResultHeap& heap = heaps[members[j]];
-          for (int64_t pos = 0; pos < len; pos += kScanBlock) {
-            const int block =
-                static_cast<int>(std::min<int64_t>(kScanBlock, len - pos));
-            if (pos + block < len) {
-              RESINFER_PREFETCH(bucket_ids + pos + block);
-              RESINFER_PREFETCH(bucket_ids + pos + block + 8);
-            }
-            const float tau = static_cast<int>(heap.size()) == k
-                                  ? heap.top().first
-                                  : kInfDistance;
-            if (code_resident) {
-              computer.EstimateBatchCodes(bucket_codes + pos * code_stride,
-                                          bucket_ids + pos, block, tau, est);
-            } else {
-              computer.EstimateBatch(bucket_ids + pos, block, tau, est);
-            }
-            push(heap, est, bucket_ids + pos, block);
-          }
+          ScanBucket(computer, bucket_ids, bucket_codes, code_stride, len, k,
+                     heaps[members[j]]);
         }
       }
     }

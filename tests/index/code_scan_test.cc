@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,6 +201,75 @@ TEST(CodeScanTest, StoreLayoutMatchesComputerContract) {
     ASSERT_FALSE(store.empty()) << name;
     EXPECT_EQ(store.tag(), computer->code_tag()) << name;
     EXPECT_EQ(store.size(), computer->size()) << name;
+  }
+}
+
+// FingerprintArray chained over the given float arrays, after `first`.
+uint64_t Fingerprint(uint64_t first,
+                     std::initializer_list<const std::vector<float>*> arrays) {
+  uint64_t f = first;
+  for (const std::vector<float>* a : arrays) {
+    f = quant::FingerprintArray(a->data(), a->size() * sizeof(float), f);
+  }
+  return f;
+}
+
+uint64_t Fingerprint(const std::vector<uint8_t>& codes,
+                     std::initializer_list<const std::vector<float>*> arrays) {
+  return Fingerprint(quant::FingerprintArray(codes.data(), codes.size()),
+                     arrays);
+}
+
+TEST(CodeScanTest, CodeTagRecipeIsPinned) {
+  // The tag is what a persisted store is matched against: a change to its
+  // recipe (method name, record layout, or what the fingerprint covers)
+  // silently demotes every saved bundle to the gather path. Pin it per
+  // computer against the artifacts the fixture built (D = 32).
+  CodeScanFixture& f = Fixture();
+  const int64_t n = f.ds.size();
+  std::vector<float> norms(static_cast<std::size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    norms[static_cast<std::size_t>(i)] = simd::Norm2Sqr(
+        f.rotated.Row(i), static_cast<std::size_t>(f.rotated.cols()));
+  }
+  const uint64_t rotated_fp = quant::FingerprintArray(
+      f.rotated.data(), static_cast<std::size_t>(f.rotated.size()) *
+                            sizeof(float));
+  const core::DdcOpqArtifacts& opq = f.opq_artifacts;
+  const core::DdcRqCascadeArtifacts& cascade = f.cascade_artifacts;
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"ddc-pq",
+       quant::MakeCodeTag("pq-adc", 8, 1, n,
+                          Fingerprint(f.pq.codes, {&f.pq.recon_errors}),
+                          f.pq.pq.layout().packing)},
+      {"ddc-rq",
+       quant::MakeCodeTag(
+           "rq-adc", 4, 2, n,
+           Fingerprint(f.rq.codes, {&f.rq.recon_norms, &f.rq.recon_errors}),
+           f.rq.rq.layout().packing)},
+      {"ddc-sq",
+       quant::MakeCodeTag("sq8-adc", 32, 1, n,
+                          Fingerprint(f.sq.codes, {&f.sq.recon_errors}))},
+      {"ddc-opq",
+       quant::MakeCodeTag("ddc-opq", 8, 1, n,
+                          Fingerprint(opq.codes, {&opq.recon_errors}),
+                          opq.opq.codebook().layout().packing)},
+      {"ddc-pca", quant::MakeCodeTag("ddc-pca", 8 * 4, 0, n, rotated_fp)},
+      {"ddc-res", quant::MakeCodeTag("ddc-res", 8 * 4, 1, n,
+                                     Fingerprint(rotated_fp, {&norms}))},
+      {"ddc-rq-cascade",
+       quant::MakeCodeTag(
+           "ddc-rq-cascade", 3, 4, n,
+           Fingerprint(cascade.codes,
+                       {&cascade.level_norms, &cascade.level_errors}),
+           cascade.rq.layout().packing)},
+  };
+  auto factories = f.Factories();
+  ASSERT_EQ(factories.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(factories[i].first, want[i].first);
+    EXPECT_EQ(factories[i].second()->code_tag(), want[i].second)
+        << want[i].first;
   }
 }
 

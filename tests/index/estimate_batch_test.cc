@@ -18,6 +18,7 @@
 #include "core/ddc_opq.h"
 #include "core/ddc_pca.h"
 #include "core/ddc_res.h"
+#include "core/ddc_rq_cascade.h"
 #include "index/distance_computer.h"
 #include "simd/dispatch.h"
 #include "test_util.h"
@@ -38,6 +39,7 @@ struct BatchFixture {
   core::DdcPcaArtifacts pca_artifacts;
 
   core::DdcOpqArtifacts opq_artifacts;
+  core::DdcRqCascadeArtifacts cascade_artifacts;
 
   BatchFixture() {
     quant::PqOptions pq_options;
@@ -81,6 +83,14 @@ struct BatchFixture {
     core::DdcOpqOptions opq_options;
     opq_options.training.max_queries = 80;
     opq_artifacts = core::TrainDdcOpq(ds.base, ds.train_queries, opq_options);
+
+    core::DdcRqCascadeOptions cascade_options;
+    cascade_options.levels = {1, 3};
+    cascade_options.rq.num_stages = 3;
+    cascade_options.rq.nbits = 6;
+    cascade_options.training.max_queries = 80;
+    cascade_artifacts =
+        core::TrainDdcRqCascade(ds.base, ds.train_queries, cascade_options);
   }
 
   using ComputerFactory =
@@ -122,6 +132,10 @@ struct BatchFixture {
     factories.emplace_back("ddc-opq", [this] {
       return std::make_unique<core::DdcOpqComputer>(&ds.base,
                                                     &opq_artifacts);
+    });
+    factories.emplace_back("ddc-rq-cascade", [this] {
+      return std::make_unique<core::DdcRqCascadeComputer>(
+          &ds.base, &cascade_artifacts);
     });
     return factories;
   }

@@ -211,6 +211,79 @@ TEST(MultiQueryTest, SelectQueryMatchesBeginQuery) {
   }
 }
 
+TEST(MultiQueryTest, BeginQueryBetweenSelectsKeepsGroupState) {
+  // BeginQuery reverts to single-query operation without disturbing the
+  // declared group: after SetQueryBatch, a BeginQuery, then SelectQuery(g),
+  // both the solo query and member g must estimate bit-identically to a
+  // fresh BeginQuery on their own query.
+  MultiQueryFixture& f = Fixture();
+  const int group = 5;
+  const float* solo_query = f.ds.queries.Row(group + 2);
+  const auto expect_same = [&f](DistanceComputer& want, DistanceComputer& got,
+                                const std::string& label) {
+    want.stats().Reset();
+    got.stats().Reset();
+    for (int64_t id : {int64_t{0}, int64_t{17}, int64_t{530}}) {
+      for (float tau : {kInfDistance, 0.0f, 50.0f}) {
+        const EstimateResult a = want.EstimateWithThreshold(id, tau);
+        const EstimateResult b = got.EstimateWithThreshold(id, tau);
+        EXPECT_EQ(a.pruned, b.pruned) << label;
+        EXPECT_EQ(a.distance, b.distance) << label;
+      }
+      EXPECT_EQ(want.ExactDistance(id), got.ExactDistance(id)) << label;
+    }
+    std::vector<int64_t> ids(33);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<int64_t>(i * 31 % f.ds.size());
+    }
+    std::vector<EstimateResult> a(ids.size()), b(ids.size());
+    want.EstimateBatch(ids.data(), static_cast<int>(ids.size()), 50.0f,
+                       a.data());
+    got.EstimateBatch(ids.data(), static_cast<int>(ids.size()), 50.0f,
+                      b.data());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(a[i].pruned, b[i].pruned) << label << " i=" << i;
+      EXPECT_EQ(a[i].distance, b[i].distance) << label << " i=" << i;
+    }
+    ExpectSameStats(want.stats(), got.stats(), label);
+  };
+  for (auto& [name, factory] : f.Factories()) {
+    for (simd::SimdLevel level : f.Levels()) {
+      simd::ScopedSimdLevel guard(level);
+      for (int g = 0; g < group; ++g) {
+        const std::string label = name + "/" + simd::SimdLevelName(level) +
+                                  "/g=" + std::to_string(g);
+        auto grouped = factory();
+        grouped->SetQueryBatch(f.ds.queries.Row(0), group, f.ds.dim());
+        grouped->BeginQuery(solo_query);
+        auto fresh = factory();
+        fresh->BeginQuery(solo_query);
+        expect_same(*fresh, *grouped, label + "/solo");
+
+        grouped->SelectQuery(g);
+        fresh->BeginQuery(f.ds.queries.Row(g));
+        expect_same(*fresh, *grouped, label + "/member");
+      }
+    }
+  }
+}
+
+TEST(MultiQueryTest, ExactDistanceLeavesStatsUntouched) {
+  // ExactDistance sits outside the estimate protocol (graph descents call
+  // it), so no computer may count it in ComputerStats.
+  MultiQueryFixture& f = Fixture();
+  for (auto& [name, factory] : f.Factories()) {
+    auto computer = factory();
+    computer->BeginQuery(f.ds.queries.Row(0));
+    computer->EstimateWithThreshold(3, 50.0f);
+    const ComputerStats before = computer->stats();
+    for (int64_t id = 0; id < f.ds.size(); id += 7) {
+      computer->ExactDistance(id);
+    }
+    ExpectSameStats(before, computer->stats(), name);
+  }
+}
+
 TEST(MultiQueryTest, GroupBatchMatchesPerMemberLoop) {
   // EstimateBatchGroup / EstimateBatchCodesGroup against the loop they are
   // defined as, with per-member taus straddling the pruning boundary and
