@@ -154,6 +154,18 @@ void DdcResComputer::ScoreBlock(RecordFn&& record, const int64_t* ids,
 
 void DdcResComputer::EstimateBatch(const int64_t* ids, int count, float tau,
                                    index::EstimateResult* out) {
+  // The ids are scattered (graph neighbors): request every first-stage head
+  // up front so the gathers overlap instead of missing one by one.
+  if (!stage_dims_.empty()) {
+    constexpr int64_t kLineFloats = 64 / sizeof(float);
+    const int64_t d0 = stage_dims_[0];
+    for (int i = 0; i < count; ++i) {
+      const float* head = rotated_base_->Row(ids[i]);
+      for (int64_t f = 0; f < d0; f += kLineFloats) {
+        RESINFER_PREFETCH(head + f);
+      }
+    }
+  }
   ScoreBlock(
       [this, ids](int pos) {
         return ResRecord{rotated_base_->Row(ids[pos]), norms_sqr_[ids[pos]]};

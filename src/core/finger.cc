@@ -46,7 +46,7 @@ FingerArtifacts BuildFingerArtifacts(const linalg::Matrix& base,
 
   ParallelForEach(n, [&](int64_t u, int /*thread*/) {
     int count = 0;
-    const int64_t* links = graph.NeighborsAtBase(u, &count);
+    const int32_t* links = graph.NeighborsAtBase(u, &count);
     if (count == 0) return;
 
     // Residual matrix (count x d).

@@ -242,7 +242,11 @@ BatchResult BatchSearchHnsw(const HnswIndex& index,
   return RunBatch(
       factory, queries,
       [&index, k, ef](DistanceComputer& computer, const float* query) {
-        return index.Search(computer, query, k, ef);
+        // One scratch per worker thread (executor threads live for one
+        // batch), so the traversal is allocation-free after each worker's
+        // first query.
+        thread_local HnswScratch scratch;
+        return index.Search(computer, query, k, ef, &scratch);
       },
       options);
 }

@@ -1,8 +1,10 @@
 #include "index/hnsw_index.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
-#include <queue>
+#include <functional>
+#include <string>
 
 #include "simd/kernels.h"
 #include "util/macros.h"
@@ -12,13 +14,25 @@ namespace resinfer::index {
 
 namespace {
 
-// Min-heap on distance via greater-than comparison.
-using MinHeap =
-    std::priority_queue<std::pair<float, int64_t>,
-                        std::vector<std::pair<float, int64_t>>,
-                        std::greater<std::pair<float, int64_t>>>;
-// Max-heap on distance.
-using MaxHeap = std::priority_queue<std::pair<float, int64_t>>;
+// The beam heaps are flat vectors driven by std::push_heap/std::pop_heap —
+// exactly the operations std::priority_queue is specified as, so the pop
+// order (ties broken by id through the pair comparison) is the one the
+// priority_queue form had, while the storage lives in reusable scratch.
+using HeapItem = std::pair<float, int64_t>;
+using MinOrder = std::greater<HeapItem>;  // closest on top
+using MaxOrder = std::less<HeapItem>;     // farthest on top
+
+template <typename Order>
+void HeapPush(std::vector<HeapItem>& heap, float distance, int64_t id) {
+  heap.emplace_back(distance, id);
+  std::push_heap(heap.begin(), heap.end(), Order());
+}
+
+template <typename Order>
+void HeapPop(std::vector<HeapItem>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), Order());
+  heap.pop_back();
+}
 
 }  // namespace
 
@@ -26,6 +40,8 @@ struct HnswIndex::BuildContext {
   const linalg::Matrix* base = nullptr;
   std::vector<uint32_t> visited;
   uint32_t stamp = 0;
+  std::vector<HeapItem> candidates;
+  std::vector<HeapItem> results;
 
   float Distance(const float* q, int64_t id) const {
     return simd::L2Sqr(q, base->Row(id),
@@ -44,34 +60,30 @@ struct HnswIndex::BuildContext {
   }
 };
 
-int64_t* HnswIndex::MutableLinks(int64_t node, int level) {
+int32_t* HnswIndex::MutableLinks(int64_t node, int level) {
   if (level == 0) {
     return base_links_.data() + node * (2 * options_.M + 1);
   }
   return upper_links_[node][level - 1].data();
 }
 
-const int64_t* HnswIndex::Links(int64_t node, int level, int* count) const {
-  const int64_t* slot =
+const int32_t* HnswIndex::Links(int64_t node, int level, int* count) const {
+  const int32_t* slot =
       level == 0 ? base_links_.data() + node * (2 * options_.M + 1)
                  : upper_links_[node][level - 1].data();
-  *count = static_cast<int>(slot[0]);
+  *count = slot[0];
   return slot + 1;
 }
 
-void HnswIndex::SetLinkCount(int64_t node, int level, int count) {
-  MutableLinks(node, level)[0] = count;
-}
-
-const int64_t* HnswIndex::NeighborsAtBase(int64_t node, int* count) const {
+const int32_t* HnswIndex::NeighborsAtBase(int64_t node, int* count) const {
   return Links(node, 0, count);
 }
 
 int64_t HnswIndex::GraphBytes() const {
-  int64_t bytes = static_cast<int64_t>(base_links_.size()) * sizeof(int64_t);
+  int64_t bytes = static_cast<int64_t>(base_links_.size()) * sizeof(int32_t);
   for (const auto& per_node : upper_links_) {
     for (const auto& level : per_node)
-      bytes += static_cast<int64_t>(level.size()) * sizeof(int64_t);
+      bytes += static_cast<int64_t>(level.size()) * sizeof(int32_t);
   }
   return bytes;
 }
@@ -80,30 +92,32 @@ std::vector<HnswIndex::HeapEntry> HnswIndex::SearchLayerBuild(
     BuildContext& ctx, const float* q, int64_t entry, float entry_dist,
     int level, int ef) const {
   ctx.NextStamp();
-  MinHeap candidates;
-  MaxHeap results;
-  candidates.emplace(entry_dist, entry);
-  results.emplace(entry_dist, entry);
+  std::vector<HeapItem>& candidates = ctx.candidates;
+  std::vector<HeapItem>& results = ctx.results;
+  candidates.clear();
+  results.clear();
+  HeapPush<MinOrder>(candidates, entry_dist, entry);
+  HeapPush<MaxOrder>(results, entry_dist, entry);
   ctx.Visit(entry);
 
   while (!candidates.empty()) {
-    auto [dist, node] = candidates.top();
-    if (dist > results.top().first &&
+    auto [dist, node] = candidates.front();
+    if (dist > results.front().first &&
         static_cast<int>(results.size()) >= ef) {
       break;
     }
-    candidates.pop();
+    HeapPop<MinOrder>(candidates);
     int count = 0;
-    const int64_t* links = Links(node, level, &count);
+    const int32_t* links = Links(node, level, &count);
     for (int i = 0; i < count; ++i) {
       int64_t next = links[i];
       if (!ctx.Visit(next)) continue;
       float next_dist = ctx.Distance(q, next);
       if (static_cast<int>(results.size()) < ef ||
-          next_dist < results.top().first) {
-        candidates.emplace(next_dist, next);
-        results.emplace(next_dist, next);
-        if (static_cast<int>(results.size()) > ef) results.pop();
+          next_dist < results.front().first) {
+        HeapPush<MinOrder>(candidates, next_dist, next);
+        HeapPush<MaxOrder>(results, next_dist, next);
+        if (static_cast<int>(results.size()) > ef) HeapPop<MaxOrder>(results);
       }
     }
   }
@@ -111,8 +125,8 @@ std::vector<HnswIndex::HeapEntry> HnswIndex::SearchLayerBuild(
   std::vector<HeapEntry> out;
   out.reserve(results.size());
   while (!results.empty()) {
-    out.push_back({results.top().first, results.top().second});
-    results.pop();
+    out.push_back({results.front().first, results.front().second});
+    HeapPop<MaxOrder>(results);
   }
   std::reverse(out.begin(), out.end());  // ascending by distance
   return out;
@@ -147,6 +161,7 @@ HnswIndex HnswIndex::Build(const linalg::Matrix& base,
                            const HnswOptions& options) {
   const int64_t n = base.rows();
   RESINFER_CHECK(n > 0);
+  RESINFER_CHECK(n <= INT32_MAX);  // links are int32_t in memory
   RESINFER_CHECK(options.M >= 2);
   RESINFER_CHECK(options.ef_construction >= options.M);
 
@@ -170,7 +185,7 @@ HnswIndex HnswIndex::Build(const linalg::Matrix& base,
     int level = static_cast<int>(-std::log(u) * ml);
     index.levels_[i] = level;
     index.upper_links_[i].assign(
-        level, std::vector<int64_t>(options.M + 1, 0));
+        level, std::vector<int32_t>(options.M + 1, 0));
 
     if (index.entry_point_ < 0) {
       index.entry_point_ = i;
@@ -188,7 +203,7 @@ HnswIndex HnswIndex::Build(const linalg::Matrix& base,
       while (improved) {
         improved = false;
         int count = 0;
-        const int64_t* links = index.Links(current, l, &count);
+        const int32_t* links = index.Links(current, l, &count);
         for (int j = 0; j < count; ++j) {
           float dist = ctx.Distance(q, links[j]);
           if (dist < current_dist) {
@@ -209,19 +224,19 @@ HnswIndex HnswIndex::Build(const linalg::Matrix& base,
           index.SelectNeighborsHeuristic(base, q, found, m);
 
       // Connect i -> neighbors.
-      int64_t* my_links = index.MutableLinks(i, l);
-      my_links[0] = static_cast<int64_t>(neighbors.size());
+      int32_t* my_links = index.MutableLinks(i, l);
+      my_links[0] = static_cast<int32_t>(neighbors.size());
       for (std::size_t j = 0; j < neighbors.size(); ++j)
-        my_links[j + 1] = neighbors[j];
+        my_links[j + 1] = static_cast<int32_t>(neighbors[j]);
 
       // Connect neighbors -> i, shrinking with the heuristic on overflow.
       for (int64_t nb : neighbors) {
         int count = 0;
-        const int64_t* links = index.Links(nb, l, &count);
+        const int32_t* links = index.Links(nb, l, &count);
         int64_t capacity = index.LinkCapacity(l);
         if (count < capacity) {
-          int64_t* slot = index.MutableLinks(nb, l);
-          slot[count + 1] = i;
+          int32_t* slot = index.MutableLinks(nb, l);
+          slot[count + 1] = static_cast<int32_t>(i);
           slot[0] = count + 1;
           continue;
         }
@@ -238,10 +253,10 @@ HnswIndex HnswIndex::Build(const linalg::Matrix& base,
                   });
         std::vector<int64_t> reselected = index.SelectNeighborsHeuristic(
             base, nb_vec, pool, static_cast<int>(capacity));
-        int64_t* slot = index.MutableLinks(nb, l);
-        slot[0] = static_cast<int64_t>(reselected.size());
+        int32_t* slot = index.MutableLinks(nb, l);
+        slot[0] = static_cast<int32_t>(reselected.size());
         for (std::size_t j = 0; j < reselected.size(); ++j)
-          slot[j + 1] = reselected[j];
+          slot[j + 1] = static_cast<int32_t>(reselected[j]);
       }
 
       // Next layer starts from the closest found candidate.
@@ -259,7 +274,31 @@ HnswIndex HnswIndex::Build(const linalg::Matrix& base,
   return index;
 }
 
+namespace {
+
+std::vector<int64_t> Widen(const std::vector<int32_t>& links) {
+  return std::vector<int64_t>(links.begin(), links.end());
+}
+
+// Validates one wide [count, id x capacity] link list of a graph with `n`
+// nodes and narrows it into `out`. Returns the first problem, or nullptr:
+// the count must lie in [0, capacity] and every slot (stale ones past the
+// count included, so the narrowing is lossless) must be a node id.
+const char* NarrowLinks(const int64_t* wide, int64_t capacity, int64_t n,
+                        int32_t* out) {
+  if (wide[0] < 0 || wide[0] > capacity) return "count out of range";
+  out[0] = static_cast<int32_t>(wide[0]);
+  for (int64_t j = 1; j <= capacity; ++j) {
+    if (wide[j] < 0 || wide[j] >= n) return "id out of range";
+    out[j] = static_cast<int32_t>(wide[j]);
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 void HnswIndex::SaveTo(BinaryWriter& writer) const {
+  // The on-disk graph keeps its 64-bit counts and ids: widen on the way out.
   writer.Write(options_.M);
   writer.Write(options_.ef_construction);
   writer.Write(options_.level_seed);
@@ -267,15 +306,15 @@ void HnswIndex::SaveTo(BinaryWriter& writer) const {
   writer.Write(max_level_);
   writer.Write(entry_point_);
   writer.WriteVector(levels_);
-  writer.WriteVector(base_links_);
+  writer.WriteVector(Widen(base_links_));
   for (const auto& per_node : upper_links_) {
     writer.Write<int32_t>(static_cast<int32_t>(per_node.size()));
-    for (const auto& level : per_node) writer.WriteVector(level);
+    for (const auto& level : per_node) writer.WriteVector(Widen(level));
   }
 }
 
 util::Status HnswIndex::LoadFrom(BinaryReader& reader, HnswIndex* out) {
-  const auto fail = [](const char* what) {
+  const auto fail = [](const std::string& what) {
     return util::Status::Corruption(what);
   };
   HnswIndex index;
@@ -286,39 +325,63 @@ util::Status HnswIndex::LoadFrom(BinaryReader& reader, HnswIndex* out) {
       !reader.Read(&index.entry_point_)) {
     return fail("truncated hnsw graph header");
   }
-  if (index.size_ <= 0 || index.options_.M < 2 ||
-      index.entry_point_ < 0 || index.entry_point_ >= index.size_) {
+  const int64_t n = index.size_;
+  if (n <= 0 || index.options_.M < 2 || index.entry_point_ < 0 ||
+      index.entry_point_ >= n) {
     return fail("hnsw size/M/entry point out of range");
   }
-  if (!reader.ReadVector(&index.levels_) ||
-      !reader.ReadVector(&index.base_links_)) {
+  if (n > INT32_MAX) return fail("hnsw node count exceeds the int32 id bound");
+  const int64_t base_stride = 2 * static_cast<int64_t>(index.options_.M) + 1;
+  std::vector<int64_t> wide_base;
+  if (!reader.ReadVector(&index.levels_) || !reader.ReadVector(&wide_base)) {
     return fail("truncated hnsw levels/links");
   }
-  if (static_cast<int64_t>(index.levels_.size()) != index.size_ ||
-      static_cast<int64_t>(index.base_links_.size()) !=
-          index.size_ * (2 * index.options_.M + 1)) {
+  if (static_cast<int64_t>(index.levels_.size()) != n ||
+      static_cast<int64_t>(wide_base.size()) != n * base_stride) {
     return fail("hnsw levels/links size disagrees with node count");
   }
-  index.upper_links_.resize(index.size_);
-  for (int64_t i = 0; i < index.size_; ++i) {
+  for (int level : index.levels_) {
+    if (level < 0) return fail("hnsw node level is negative");
+  }
+  if (index.max_level_ != index.levels_[index.entry_point_])
+    return fail("hnsw max level disagrees with the entry point's level");
+
+  index.base_links_.resize(wide_base.size());
+  for (int64_t i = 0; i < n; ++i) {
+    if (const char* bad =
+            NarrowLinks(wide_base.data() + i * base_stride, base_stride - 1,
+                        n, index.base_links_.data() + i * base_stride)) {
+      return fail(std::string("hnsw link ") + bad);
+    }
+  }
+  wide_base = {};
+
+  // Upper levels: node i carries one [count, id x M] list per level
+  // 1..levels_[i], and every counted id must itself reach that level.
+  const int64_t upper_stride = static_cast<int64_t>(index.options_.M) + 1;
+  index.upper_links_.resize(n);
+  std::vector<int64_t> wide;
+  for (int64_t i = 0; i < n; ++i) {
     int32_t levels = 0;
     if (!reader.Read(&levels) || levels < 0 || levels > 64)
       return fail("hnsw per-node level count out of range");
+    if (levels != index.levels_[i])
+      return fail("hnsw upper level count disagrees with the node's level");
     index.upper_links_[i].resize(levels);
     for (int32_t l = 0; l < levels; ++l) {
-      if (!reader.ReadVector(&index.upper_links_[i][l]))
+      if (!reader.ReadVector(&wide))
         return fail("truncated hnsw upper links");
-    }
-  }
-  // Validate link ids.
-  for (int64_t i = 0; i < index.size_; ++i) {
-    int count = 0;
-    const int64_t* links = index.Links(i, 0, &count);
-    if (count < 0 || count > 2 * index.options_.M)
-      return fail("hnsw link count out of range");
-    for (int j = 0; j < count; ++j) {
-      if (links[j] < 0 || links[j] >= index.size_)
-        return fail("hnsw link id out of range");
+      if (static_cast<int64_t>(wide.size()) != upper_stride)
+        return fail("hnsw upper link list size disagrees with M");
+      std::vector<int32_t>& links = index.upper_links_[i][l];
+      links.resize(upper_stride);
+      if (const char* bad =
+              NarrowLinks(wide.data(), upper_stride - 1, n, links.data()))
+        return fail(std::string("hnsw upper link ") + bad);
+      for (int32_t j = 1; j <= links[0]; ++j) {
+        if (index.levels_[links[j]] < l + 1)
+          return fail("hnsw upper link points below its level");
+      }
     }
   }
   *out = std::move(index);
@@ -357,7 +420,7 @@ std::vector<Neighbor> HnswIndex::Search(DistanceComputer& computer,
     while (improved) {
       improved = false;
       int count = 0;
-      const int64_t* links = Links(current, l, &count);
+      const int32_t* links = Links(current, l, &count);
       for (int j = 0; j < count; ++j) {
         float dist = computer.ExactDistance(links[j]);
         if (dist < current_dist) {
@@ -374,10 +437,12 @@ std::vector<Neighbor> HnswIndex::Search(DistanceComputer& computer,
   // EstimateBatch, so the computer amortizes its virtual call and prefetches
   // the candidate rows; tau is the result-queue bound at block start (see
   // the batch protocol in distance_computer.h).
-  MinHeap candidates;
-  MaxHeap results;
-  candidates.emplace(current_dist, current);
-  results.emplace(current_dist, current);
+  std::vector<HeapItem>& candidates = s->candidates;
+  std::vector<HeapItem>& results = s->results;
+  candidates.clear();
+  results.clear();
+  HeapPush<MinOrder>(candidates, current_dist, current);
+  HeapPush<MaxOrder>(results, current_dist, current);
   s->visited[current] = stamp;
 
   const std::size_t max_degree = static_cast<std::size_t>(2 * options_.M);
@@ -385,18 +450,20 @@ std::vector<Neighbor> HnswIndex::Search(DistanceComputer& computer,
     s->block.resize(max_degree);
     s->block_results.resize(max_degree);
   }
+  // One level-0 list: the count plus 2M ids.
+  const std::size_t list_bytes = (max_degree + 1) * sizeof(int32_t);
 
   while (!candidates.empty()) {
-    auto [dist, node] = candidates.top();
+    auto [dist, node] = candidates.front();
     if (static_cast<int>(results.size()) >= ef &&
-        dist > results.top().first) {
+        dist > results.front().first) {
       break;
     }
-    candidates.pop();
+    HeapPop<MinOrder>(candidates);
     computer.SetExpansionAnchor(node, dist);
 
     int count = 0;
-    const int64_t* links = Links(node, 0, &count);
+    const int32_t* links = Links(node, 0, &count);
     int gathered = 0;
     for (int j = 0; j < count; ++j) {
       const int64_t next = links[j];
@@ -407,7 +474,7 @@ std::vector<Neighbor> HnswIndex::Search(DistanceComputer& computer,
     if (gathered == 0) continue;
 
     const float tau = static_cast<int>(results.size()) >= ef
-                          ? results.top().first
+                          ? results.front().first
                           : kInfDistance;
     computer.EstimateBatch(s->block.data(), gathered, tau,
                            s->block_results.data());
@@ -415,19 +482,28 @@ std::vector<Neighbor> HnswIndex::Search(DistanceComputer& computer,
       const EstimateResult& est = s->block_results[j];
       if (est.pruned) continue;
       if (static_cast<int>(results.size()) < ef ||
-          est.distance < results.top().first) {
-        candidates.emplace(est.distance, s->block[j]);
-        results.emplace(est.distance, s->block[j]);
-        if (static_cast<int>(results.size()) > ef) results.pop();
+          est.distance < results.front().first) {
+        HeapPush<MinOrder>(candidates, est.distance, s->block[j]);
+        HeapPush<MaxOrder>(results, est.distance, s->block[j]);
+        if (static_cast<int>(results.size()) > ef) HeapPop<MaxOrder>(results);
+      }
+    }
+    // The next expansion is (most likely) the new closest candidate: start
+    // pulling its link list in while this one's bookkeeping finishes.
+    if (!candidates.empty()) {
+      const char* next_list = reinterpret_cast<const char*>(
+          base_links_.data() + candidates.front().second * (max_degree + 1));
+      for (std::size_t b = 0; b < list_bytes; b += 64) {
+        RESINFER_PREFETCH(next_list + b);
       }
     }
   }
 
-  while (static_cast<int>(results.size()) > k) results.pop();
+  while (static_cast<int>(results.size()) > k) HeapPop<MaxOrder>(results);
   std::vector<Neighbor> out(results.size());
   for (int64_t i = static_cast<int64_t>(results.size()) - 1; i >= 0; --i) {
-    out[i] = {results.top().second, results.top().first};
-    results.pop();
+    out[i] = {results.front().second, results.front().first};
+    HeapPop<MaxOrder>(results);
   }
   return out;
 }

@@ -15,10 +15,25 @@
 // result distance as the threshold. Pruned candidates are skipped entirely
 // (the HNSW++ integration style of the ADSampling paper). The result queue
 // only ever holds exact distances.
+//
+// Scratch: a query's visited stamps, its two beam heaps and its block
+// buffers live in an HnswScratch. Pass one per thread and reuse it: after
+// its first query a reused scratch makes Search allocation-free (the heaps
+// and buffers keep their capacity, the visited array is only stamped). A
+// scratch may move between indexes of any size and between k/ef settings;
+// results never depend on its history. BatchSearchHnsw keeps one per worker
+// thread; a nullptr scratch makes Search allocate a fresh one per call.
+//
+// Ids: the graph holds its links as int32_t in memory (half the bytes of
+// 64-bit ids, so more of the level-0 lists stay cache-resident), so Build
+// and LoadFrom refuse more than INT32_MAX nodes. The on-disk graph keeps
+// int64_t counts and ids: SaveTo widens them, and LoadFrom validates the
+// wide values before narrowing them.
 #ifndef RESINFER_INDEX_HNSW_INDEX_H_
 #define RESINFER_INDEX_HNSW_INDEX_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "data/ground_truth.h"
@@ -40,15 +55,22 @@ struct HnswOptions {
   uint64_t level_seed = 2024;
 };
 
-// Reusable per-thread search scratch (visited stamps). Optional; pass
-// nullptr and Search allocates internally.
+// Reusable per-thread search scratch. Optional; pass nullptr and Search
+// allocates internally. See the header comment for the reuse contract.
 struct HnswScratch {
+  // visited[id] == stamp marks a node seen by the current query; the stamp
+  // advances per query and the array is cleared only when it wraps.
   std::vector<uint32_t> visited;
   uint32_t stamp = 0;
   // Per-expansion gather buffers for the block-scan refinement: unvisited
   // neighbors of the expanded node and their EstimateBatch results.
   std::vector<int64_t> block;
   std::vector<EstimateResult> block_results;
+  // The base-layer beam as flat binary heaps on (distance, id), driven by
+  // std::push_heap / std::pop_heap: `candidates` is a min-heap (closest on
+  // top), `results` a max-heap (the ef-th result on top).
+  std::vector<std::pair<float, int64_t>> candidates;
+  std::vector<std::pair<float, int64_t>> results;
 };
 
 class HnswIndex {
@@ -66,7 +88,7 @@ class HnswIndex {
   const HnswOptions& options() const { return options_; }
 
   // Level-0 adjacency of `node`: pointer to `count` neighbor ids.
-  const int64_t* NeighborsAtBase(int64_t node, int* count) const;
+  const int32_t* NeighborsAtBase(int64_t node, int* count) const;
 
   // Approximate memory footprint of the graph structure in bytes.
   int64_t GraphBytes() const;
@@ -105,9 +127,8 @@ class HnswIndex {
   int64_t LinkCapacity(int level) const {
     return level == 0 ? 2 * options_.M : options_.M;
   }
-  int64_t* MutableLinks(int64_t node, int level);
-  const int64_t* Links(int64_t node, int level, int* count) const;
-  void SetLinkCount(int64_t node, int level, int count);
+  int32_t* MutableLinks(int64_t node, int level);
+  const int32_t* Links(int64_t node, int level, int* count) const;
 
   std::vector<HeapEntry> SearchLayerBuild(BuildContext& ctx, const float* q,
                                           int64_t entry, float entry_dist,
@@ -123,9 +144,9 @@ class HnswIndex {
 
   std::vector<int> levels_;  // per node
   // Level 0: flattened [count, id x (2M)] per node.
-  std::vector<int64_t> base_links_;
+  std::vector<int32_t> base_links_;
   // Upper levels: per node, per level-1, [count, id x M].
-  std::vector<std::vector<std::vector<int64_t>>> upper_links_;
+  std::vector<std::vector<std::vector<int32_t>>> upper_links_;
 };
 
 }  // namespace resinfer::index

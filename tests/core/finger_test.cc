@@ -35,7 +35,7 @@ TEST(FingerTest, ArtifactsCoverEveryNode) {
   // Edge metadata mirrors the graph adjacency.
   for (int64_t u = 0; u < f.ds.size(); u += 97) {
     int count = 0;
-    const int64_t* links = f.graph.NeighborsAtBase(u, &count);
+    const int32_t* links = f.graph.NeighborsAtBase(u, &count);
     ASSERT_EQ(static_cast<int>(f.artifacts.edge_ids[u].size()), count);
     for (int i = 0; i < count; ++i) {
       EXPECT_EQ(f.artifacts.edge_ids[u][i], links[i]);

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/ddc_res.h"
 #include "data/ground_truth.h"
 #include "data/metrics.h"
+#include "linalg/pca.h"
 #include "test_util.h"
 
 namespace resinfer::index {
@@ -81,6 +83,57 @@ TEST(BatchTest, HnswBatchReachesRecallFloor) {
   std::vector<std::vector<int64_t>> truth =
       data::BruteForceKnn(f.ds.base, f.ds.queries, 10);
   EXPECT_GE(data::MeanRecallAtK(ResultIds(batch), truth, 10), 0.9);
+}
+
+TEST(BatchTest, HnswBatchEqualsPerQuerySearch) {
+  // Each worker keeps one HnswScratch across its queries; answers and the
+  // summed ComputerStats must still be exactly those of independent
+  // per-query searches, at any thread count.
+  BatchFixture& f = Fixture();
+  const linalg::PcaModel pca =
+      linalg::PcaModel::Fit(f.ds.base.data(), f.ds.size(), f.ds.dim());
+  const linalg::Matrix rotated =
+      pca.TransformBatch(f.ds.base.data(), f.ds.size());
+  const ComputerFactory factory = [&pca, &rotated] {
+    core::DdcResOptions options;
+    options.init_dim = 8;
+    options.delta_dim = 8;
+    return std::make_unique<core::DdcResComputer>(&pca, &rotated, options);
+  };
+  constexpr int kK = 10;
+  constexpr int kEf = 40;
+  std::vector<std::vector<Neighbor>> reference;
+  ComputerStats reference_stats;
+  for (int64_t q = 0; q < f.ds.queries.rows(); ++q) {
+    std::unique_ptr<DistanceComputer> computer = factory();
+    reference.push_back(
+        f.hnsw.Search(*computer, f.ds.queries.Row(q), kK, kEf));
+    reference_stats += computer->stats();
+  }
+  ASSERT_GT(reference_stats.pruned, 0);
+
+  for (int threads : {1, 4}) {
+    BatchOptions options;
+    options.num_threads = threads;
+    const BatchResult batch =
+        BatchSearchHnsw(f.hnsw, factory, f.ds.queries, kK, kEf, options);
+    ASSERT_EQ(batch.results.size(), reference.size());
+    for (std::size_t q = 0; q < reference.size(); ++q) {
+      ASSERT_EQ(batch.results[q].size(), reference[q].size())
+          << "threads=" << threads << " q=" << q;
+      for (std::size_t r = 0; r < reference[q].size(); ++r) {
+        EXPECT_EQ(batch.results[q][r].id, reference[q][r].id)
+            << "threads=" << threads << " q=" << q << " rank " << r;
+        EXPECT_EQ(batch.results[q][r].distance, reference[q][r].distance)
+            << "threads=" << threads << " q=" << q << " rank " << r;
+      }
+    }
+    EXPECT_EQ(batch.stats.candidates, reference_stats.candidates);
+    EXPECT_EQ(batch.stats.pruned, reference_stats.pruned);
+    EXPECT_EQ(batch.stats.dims_scanned, reference_stats.dims_scanned);
+    EXPECT_EQ(batch.stats.exact_computations,
+              reference_stats.exact_computations);
+  }
 }
 
 TEST(BatchTest, IvfBatchReachesRecallFloor) {

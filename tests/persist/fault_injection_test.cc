@@ -8,6 +8,7 @@
 // across runs and hosts: if this suite is green once, it stays green.
 //
 // Run via the labeled ctest entry:  ctest -L fault-injection
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -54,15 +55,47 @@ constexpr int kTruncationsPerFormat = 10;
 constexpr int kRangeCorruptionsPerFormat = 5;
 constexpr int kTruncationsPerLegacyFixture = 25;
 
+// Corrupt files must be rejected from what they contain, never by
+// allocating a count they declare. Under a 2 GiB address-space limit an
+// allocation sized by a mutated count throws std::bad_alloc instead of
+// quietly succeeding on an overcommitting host, so the suite imposes that
+// limit on itself (lowering an inherited limit, never raising one).
+// Sanitizer runtimes reserve far more address space than that up front, so
+// sanitized builds run without it.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kLimitAddressSpace = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+constexpr bool kLimitAddressSpace = false;
+#else
+constexpr bool kLimitAddressSpace = true;
+#endif
+#else
+constexpr bool kLimitAddressSpace = true;
+#endif
+constexpr rlim_t kAddressSpaceLimit = rlim_t{2} << 30;
+
 class FaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    if (kLimitAddressSpace && ::getrlimit(RLIMIT_AS, &saved_limit_) == 0 &&
+        (saved_limit_.rlim_cur == RLIM_INFINITY ||
+         saved_limit_.rlim_cur > kAddressSpaceLimit)) {
+      rlimit limited = saved_limit_;
+      limited.rlim_cur = kAddressSpaceLimit;
+      ASSERT_EQ(::setrlimit(RLIMIT_AS, &limited), 0);
+      restore_limit_ = true;
+    }
     dir_ = std::filesystem::temp_directory_path() /
            ("resinfer_fault_injection_" +
             std::to_string(static_cast<long long>(::getpid())));
     std::filesystem::create_directories(dir_);
   }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
+  void TearDown() override {
+    std::filesystem::remove_all(dir_);
+    if (restore_limit_) ::setrlimit(RLIMIT_AS, &saved_limit_);
+  }
 
   std::string Path(const std::string& name) { return (dir_ / name).string(); }
 
@@ -123,6 +156,8 @@ class FaultInjectionTest : public ::testing::Test {
   }
 
   std::filesystem::path dir_;
+  rlimit saved_limit_{};
+  bool restore_limit_ = false;
 };
 
 // Builds the 12 persisted formats once, on tiny deterministic datasets.

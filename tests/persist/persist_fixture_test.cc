@@ -7,13 +7,19 @@
 // suite fails in CI rather than at load time in production. The expected
 // constants are duplicated from the generator on purpose — they describe
 // the frozen files, not the current code.
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "index/hnsw_index.h"
 #include "index/ivf_index.h"
 #include "persist/persist.h"
 #include "quant/code_store.h"
@@ -279,6 +285,49 @@ TEST(PersistFixtureTest, V5FixturesPassChecksumVerification) {
   // Pre-checksum fixtures are unverifiable by design, not corrupt.
   EXPECT_EQ(VerifyFile(FixturePath("ivf_v4.bin")).code(),
             util::StatusCode::kFailedPrecondition);
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Mirrors gen_persist_fixtures.cc's WriteHnswV1: the graph it built over 12
+// points with M = 2, ef_construction = 8, level_seed = 11. Node levels
+// {2, 0, 1, 0, 4, 1, 0, 0, 0, 0, 1, 3}; the file widens every count and id
+// to int64.
+TEST(PersistFixtureTest, HnswGraphStillLoads) {
+  index::HnswIndex graph;
+  util::Status s = LoadHnsw(FixturePath("hnsw_v1.bin"), &graph);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(graph.size(), kSize);
+  EXPECT_EQ(graph.options().M, 2);
+  EXPECT_EQ(graph.options().ef_construction, 8);
+  EXPECT_EQ(graph.options().level_seed, 11u);
+  EXPECT_EQ(graph.max_level(), 4);
+  EXPECT_EQ(graph.entry_point(), 4);
+  const std::vector<std::vector<int32_t>> adjacency = {
+      {1},        {0, 2, 3, 4}, {1, 4},     {1, 5, 6},
+      {2, 1, 6},  {3, 7},       {4, 3, 7, 8}, {5, 9, 10},
+      {6, 7, 10}, {7, 11},      {8, 7},     {9}};
+  for (int64_t node = 0; node < kSize; ++node) {
+    int count = 0;
+    const int32_t* links = graph.NeighborsAtBase(node, &count);
+    EXPECT_EQ(std::vector<int32_t>(links, links + count), adjacency[node])
+        << "node " << node;
+  }
+
+  // Re-saving the narrowed in-memory graph reproduces the file: the upper
+  // layers, the stale slots past each count and the int64 layout included.
+  const std::string resaved =
+      (std::filesystem::temp_directory_path() /
+       ("resinfer_hnsw_fixture_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  s = SaveHnsw(resaved, graph);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(FileBytes(resaved), FileBytes(FixturePath("hnsw_v1.bin")));
+  std::filesystem::remove(resaved);
 }
 
 }  // namespace

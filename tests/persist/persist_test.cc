@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -244,6 +246,31 @@ TEST_F(PersistTest, HnswRoundTripIdenticalSearch) {
       EXPECT_EQ(a[i].distance, b[i].distance);
     }
   }
+}
+
+TEST_F(PersistTest, HnswSaveLoadSaveIsByteIdentical) {
+  // The graph is int32 in memory and int64 on disk: a load narrows, a save
+  // widens, and the round trip must not change a byte.
+  data::Dataset ds = testing::SmallDataset(1200, 16, 1.0, 308, 2, 2);
+  index::HnswOptions options;
+  options.M = 6;
+  options.ef_construction = 40;
+  index::HnswIndex hnsw = index::HnswIndex::Build(ds.base, options);
+  ASSERT_GT(hnsw.max_level(), 0);
+  ASSERT_TRUE(SaveHnsw(Path("first.bin"), hnsw).ok());
+  index::HnswIndex loaded;
+  util::Status s = LoadHnsw(Path("first.bin"), &loaded);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(SaveHnsw(Path("second.bin"), loaded).ok());
+  const auto bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string first = bytes(Path("first.bin"));
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, bytes(Path("second.bin")));
+  EXPECT_EQ(loaded.GraphBytes(), hnsw.GraphBytes());
 }
 
 TEST_F(PersistTest, HnswTruncatedFails) {

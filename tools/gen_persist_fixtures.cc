@@ -1,4 +1,4 @@
-// Writes the tiny cross-version IVF fixture files that
+// Writes the tiny cross-version IVF and HNSW fixture files that
 // tests/persist/persist_fixture_test.cc loads from tests/persist/testdata/.
 //
 // The fixtures are checked into git so that CI catches on-disk format
@@ -10,13 +10,17 @@
 //
 //   ./build/gen_persist_fixtures tests/persist/testdata
 //
-// The index content is fully hand-specified (no k-means, no RNG), so the
+// The IVF content is fully hand-specified (no k-means, no RNG), so the
 // generator is deterministic across hosts and library changes; the test
-// hard-codes the same constants.
+// hard-codes the same constants. The HNSW graph is built from hand-specified
+// small-integer points (every squared distance is exact in float) with a
+// fixed level seed, so its adjacency is deterministic too; the test
+// hard-codes the resulting graph.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "index/hnsw_index.h"
 #include "index/ivf_index.h"
 #include "linalg/matrix.h"
 #include "persist/persist.h"
@@ -207,6 +211,37 @@ bool WriteV6(const std::string& path, quant::CodeStore codes) {
   return true;
 }
 
+// The HNSW fixture: 12 small-integer points in 4-d, M = 2 so the graph has
+// upper layers to pin, fixed level seed. Keep in sync with
+// persist_fixture_test.cc.
+linalg::Matrix HnswFixturePoints() {
+  linalg::Matrix points(kSize, kDim);
+  for (int64_t i = 0; i < kSize; ++i) {
+    points.At(i, 0) = static_cast<float>(i);
+    points.At(i, 1) = static_cast<float>((i * i) % 7);
+    points.At(i, 2) = static_cast<float>((3 * i) % 5);
+    points.At(i, 3) = static_cast<float>((5 * i) % 11);
+  }
+  return points;
+}
+
+// The graph file is written by the library's own SaveHnsw: its bytes pin
+// the int64 on-disk graph layout (counts and ids widened to 64 bits).
+bool WriteHnswV1(const std::string& path) {
+  index::HnswOptions options;
+  options.M = 2;
+  options.ef_construction = 8;
+  options.level_seed = 11;
+  const index::HnswIndex graph =
+      index::HnswIndex::Build(HnswFixturePoints(), options);
+  util::Status status = persist::SaveHnsw(path, graph);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 }  // namespace resinfer
 
@@ -222,13 +257,14 @@ int main(int argc, char** argv) {
                          resinfer::FixturePackedCodes()) ||
       !resinfer::WriteV6(dir + "/ivf_v6.bin", resinfer::FixtureCodes()) ||
       !resinfer::WriteV6(dir + "/ivf_v6_packed.bin",
-                         resinfer::FixturePackedCodes())) {
+                         resinfer::FixturePackedCodes()) ||
+      !resinfer::WriteHnswV1(dir + "/hnsw_v1.bin")) {
     std::fprintf(stderr, "failed writing fixtures to %s\n", dir.c_str());
     return 1;
   }
   std::printf(
       "wrote ivf_v1.bin ivf_v2.bin ivf_v3.bin ivf_v4.bin ivf_v5.bin "
-      "ivf_v5_packed.bin ivf_v6.bin ivf_v6_packed.bin to %s\n",
+      "ivf_v5_packed.bin ivf_v6.bin ivf_v6_packed.bin hnsw_v1.bin to %s\n",
       dir.c_str());
   return 0;
 }
