@@ -9,6 +9,18 @@
 // ADSampling before them) accelerate only the query phase, so one graph is
 // built per dataset and shared by every DistanceComputer.
 //
+// Batched construction: every node's level is drawn up front, in id order.
+// The first kSerialPrefix nodes then insert one at a time (the reference
+// algorithm); after them nodes insert in batches of kBatch ids. A batch
+// first plans every member in parallel — descent, per-layer beam search
+// and neighbor selection against the graph as it stood when the batch
+// began, with the batch's earlier members merged in by exact distance —
+// then commits the plans serially in id order: each member's links, its
+// reverse links with the overflow re-selection, and the entry point. The
+// graph therefore depends only on (base, options) and the SIMD level the
+// distances run at, never on the thread count or on timing: every build of
+// the same input at the same level writes the same bytes.
+//
 // Query: greedy descent with exact distances on the sparse upper layers,
 // then a base-layer beam search in which every neighbor evaluation goes
 // through DistanceComputer::EstimateWithThreshold with the current ef-th
@@ -28,7 +40,8 @@
 // 64-bit ids, so more of the level-0 lists stay cache-resident), so Build
 // and LoadFrom refuse more than INT32_MAX nodes. The on-disk graph keeps
 // int64_t counts and ids: SaveTo widens them, and LoadFrom validates the
-// wide values before narrowing them.
+// wide values before narrowing them. Both stream the ids through a fixed
+// chunk, so neither holds a wide copy of the graph.
 #ifndef RESINFER_INDEX_HNSW_INDEX_H_
 #define RESINFER_INDEX_HNSW_INDEX_H_
 
@@ -78,7 +91,9 @@ class HnswIndex {
   HnswIndex() = default;
 
   // `base` must outlive the index; search re-reads vectors through the
-  // DistanceComputer, the index itself stores only the graph.
+  // DistanceComputer, the index itself stores only the graph. Plans each
+  // batch on DefaultThreadCount() threads (util/parallel.h), all joined
+  // before Build returns.
   static HnswIndex Build(const linalg::Matrix& base,
                          const HnswOptions& options = HnswOptions());
 
@@ -111,18 +126,8 @@ class HnswIndex {
 
  private:
   struct BuildContext;
-
-  // Max-heap entry ordered by distance.
-  struct HeapEntry {
-    float distance;
-    int64_t id;
-    bool operator<(const HeapEntry& other) const {
-      return distance < other.distance;
-    }
-    bool operator>(const HeapEntry& other) const {
-      return distance > other.distance;
-    }
-  };
+  // One insertion's chosen neighbors: the ids to link on layers 0..level.
+  using InsertPlan = std::vector<std::vector<int32_t>>;
 
   int64_t LinkCapacity(int level) const {
     return level == 0 ? 2 * options_.M : options_.M;
@@ -130,12 +135,19 @@ class HnswIndex {
   int32_t* MutableLinks(int64_t node, int level);
   const int32_t* Links(int64_t node, int level, int* count) const;
 
-  std::vector<HeapEntry> SearchLayerBuild(BuildContext& ctx, const float* q,
-                                          int64_t entry, float entry_dist,
-                                          int level, int ef) const;
-  std::vector<int64_t> SelectNeighborsHeuristic(
-      const linalg::Matrix& base, const float* q,
-      std::vector<HeapEntry> candidates, int m) const;
+  // Beam search on one layer of the graph; returns the ef closest nodes
+  // found, ascending by (distance, id), in ctx's buffer.
+  const std::vector<std::pair<float, int64_t>>& SearchLayerBuild(
+      BuildContext& ctx, const float* q, int64_t entry, float entry_dist,
+      int level, int ef) const;
+  // Plan phase: chooses node `i`'s neighbors on every layer of the graph as
+  // it stands, merging in the batch-mates [batch_begin, i) that reach the
+  // layer. Only reads the graph, so a batch's plans may run concurrently.
+  void PlanInsert(BuildContext& ctx, int64_t i, int64_t batch_begin,
+                  InsertPlan* plan) const;
+  // Commit phase: writes node `i`'s links and the reverse links (re-selecting
+  // a full list), then raises the entry point if `i` tops the graph.
+  void CommitInsert(BuildContext& ctx, int64_t i, const InsertPlan& plan);
 
   HnswOptions options_;
   int64_t size_ = 0;

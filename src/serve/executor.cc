@@ -1,6 +1,11 @@
 #include "serve/executor.h"
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <climits>
 #include <memory>
 #include <utility>
 
@@ -9,6 +14,27 @@
 #include "util/timer.h"
 
 namespace resinfer::serve {
+
+namespace {
+
+// The futex word is the atomic's own storage.
+static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t) &&
+              std::atomic<uint32_t>::is_always_lock_free);
+
+// Sleeps while *word == expected; the kernel compares atomically with
+// queueing the caller, so a change after the caller's read returns at once.
+// May also return spuriously or on a signal: callers re-check.
+void FutexWait(std::atomic<uint32_t>* word, uint32_t expected) {
+  syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), FUTEX_WAIT_PRIVATE,
+          expected, nullptr, nullptr, 0);
+}
+
+void FutexWake(std::atomic<uint32_t>* word, int count) {
+  syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), FUTEX_WAKE_PRIVATE,
+          count, nullptr, nullptr, 0);
+}
+
+}  // namespace
 
 void WaitGroup::Add(int64_t n) {
   RESINFER_CHECK(n >= 0);
@@ -53,13 +79,8 @@ void Executor::Submit(Task task) {
     util::MutexLock lock(admission_mu_);
     admission_.push_back(std::move(task));
   }
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    // Taking the idle lock orders this submission against the sleep
-    // predicate check, so a worker about to sleep cannot miss the wakeup.
-    util::MutexLock lock(idle_mu_);
-  }
-  idle_cv_.NotifyOne();
+  pending_.fetch_add(1);
+  Wake(/*all=*/false);
 }
 
 void Executor::SubmitTo(int worker, Task task) {
@@ -70,11 +91,8 @@ void Executor::SubmitTo(int worker, Task task) {
     util::MutexLock lock(w.mu);
     w.deque.push_back(std::move(task));
   }
-  pending_.fetch_add(1, std::memory_order_release);
-  {
-    util::MutexLock lock(idle_mu_);
-  }
-  idle_cv_.NotifyAll();  // the owner or any potential thief may be asleep
+  pending_.fetch_add(1);
+  Wake(/*all=*/true);  // the owner or any potential thief may be asleep
 }
 
 bool Executor::TryRunOne(int self) {
@@ -116,8 +134,10 @@ bool Executor::TryRunOne(int self) {
   }
   if (task == nullptr) return false;
 
-  pending_.fetch_sub(1, std::memory_order_acq_rel);
-  running_.fetch_add(1, std::memory_order_acq_rel);
+  // Count the task running before it stops counting as pending, so the
+  // two never read zero together while a task is in hand.
+  running_.fetch_add(1);
+  pending_.fetch_sub(1);
   WallTimer timer;
   task(self);
   me.busy_nanos.fetch_add(static_cast<int64_t>(timer.ElapsedSeconds() * 1e9),
@@ -125,38 +145,46 @@ bool Executor::TryRunOne(int self) {
   me.executed.fetch_add(1, std::memory_order_relaxed);
   if (stolen) me.stolen.fetch_add(1, std::memory_order_relaxed);
   if (admitted) me.admitted.fetch_add(1, std::memory_order_relaxed);
-  if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      shutdown_.load(std::memory_order_acquire)) {
-    // Possibly the last task of a drain; wake workers blocked on the exit
-    // predicate below.
-    util::MutexLock lock(idle_mu_);
-    idle_cv_.NotifyAll();
+  if (running_.fetch_sub(1) == 1 && shutdown_.load()) {
+    // Possibly the last task of a drain: workers parked waiting for
+    // quiescence must re-check the exit condition.
+    Wake(/*all=*/true);
   }
   return true;
+}
+
+// The parking protocol (see the header) needs sequentially consistent
+// order between a waker's update of pending_/running_/shutdown_ and its
+// read of sleepers_, and between a sleeper's registration and its re-check
+// of those counters: either the waker sees the sleeper, or the sleeper
+// sees the update. Every access below therefore uses the default
+// memory_order_seq_cst.
+bool Executor::HasWakeReason() const {
+  return pending_.load() > 0 || (shutdown_.load() && running_.load() == 0);
+}
+
+void Executor::Park() {
+  sleepers_.fetch_add(1);
+  const uint32_t epoch = epoch_.load();
+  if (!HasWakeReason()) FutexWait(&epoch_, epoch);
+  sleepers_.fetch_sub(1);
+}
+
+void Executor::Wake(bool all) {
+  if (sleepers_.load() == 0) return;
+  epoch_.fetch_add(1);
+  FutexWake(&epoch_, all ? INT_MAX : 1);
 }
 
 void Executor::WorkerLoop(int self) {
   while (true) {
     if (TryRunOne(self)) continue;
-    util::MutexLock lock(idle_mu_);
-    while (pending_.load(std::memory_order_acquire) <= 0 &&
-           !shutdown_.load(std::memory_order_acquire)) {
-      idle_cv_.Wait(idle_mu_);
+    // Exit only at quiescence: Shutdown has begun, nothing is queued, and
+    // nothing is running (a running task may still submit follow-up work).
+    if (shutdown_.load() && pending_.load() == 0 && running_.load() == 0) {
+      return;
     }
-    if (shutdown_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      // Nothing queued — but a still-running task elsewhere may yet spawn
-      // work, so wait for full quiescence rather than exiting early.
-      if (running_.load(std::memory_order_acquire) == 0) return;
-      while (pending_.load(std::memory_order_acquire) <= 0 &&
-             running_.load(std::memory_order_acquire) != 0) {
-        idle_cv_.Wait(idle_mu_);
-      }
-      if (pending_.load(std::memory_order_acquire) == 0 &&
-          running_.load(std::memory_order_acquire) == 0) {
-        return;
-      }
-    }
+    Park();
   }
 }
 
@@ -165,11 +193,8 @@ void Executor::Shutdown() {
   // an explicit call) so the worker threads are joined exactly once.
   util::MutexLock shutdown_lock(shutdown_mu_);
   if (joined_) return;
-  {
-    util::MutexLock lock(idle_mu_);
-    shutdown_.store(true, std::memory_order_release);
-  }
-  idle_cv_.NotifyAll();
+  shutdown_.store(true);
+  Wake(/*all=*/true);
   for (auto& w : workers_) {
     if (w->thread.joinable()) w->thread.join();
   }

@@ -24,6 +24,17 @@
 // groups (tens of microseconds to milliseconds), so a mutex per deque
 // costs noise, stays portable, and is trivially ThreadSanitizer-clean —
 // the CI TSan job runs the serving suites on every push.
+//
+// Parking: a worker that finds every queue empty parks on a futex
+// eventcount. It registers in sleepers_, reads the wake epoch_, re-checks
+// its wake condition (a task pending, or Shutdown with nothing running),
+// and only then FUTEX_WAITs on the epoch it read. A submitter bumps the
+// epoch and issues FUTEX_WAKE only when sleepers_ is non-zero; with no
+// sleeper its wake is one atomic load. Neither side takes a lock, so a
+// wake never waits for a worker woken earlier to run (a condition
+// variable's notify can: it shares the sleepers' mutex and, in glibc's
+// implementation, its internal state). A bump between a sleeper's epoch
+// read and its wait makes the kernel return at once, so no wake is lost.
 #ifndef RESINFER_SERVE_EXECUTOR_H_
 #define RESINFER_SERVE_EXECUTOR_H_
 
@@ -90,17 +101,17 @@ class Executor {
   // may Submit follow-up work at any time — the Shutdown drain always
   // serves it. External threads must not Submit once Shutdown has begun
   // (such a task may never run).
-  void Submit(Task task) RESINFER_EXCLUDES(admission_mu_, idle_mu_);
+  void Submit(Task task) RESINFER_EXCLUDES(admission_mu_);
 
   // Enqueues onto worker `worker`'s own deque. Used to pre-distribute a
   // known work list; the owner pops it LIFO, idle workers steal it FIFO.
   // Same Shutdown contract as Submit.
-  void SubmitTo(int worker, Task task) RESINFER_EXCLUDES(idle_mu_);
+  void SubmitTo(int worker, Task task);
 
   // Runs every submitted task (including tasks submitted by tasks) to
   // completion, then joins the workers. Idempotent and safe to call
   // concurrently; the destructor calls it.
-  void Shutdown() RESINFER_EXCLUDES(shutdown_mu_, idle_mu_);
+  void Shutdown() RESINFER_EXCLUDES(shutdown_mu_);
 
   Stats stats() const;
 
@@ -118,8 +129,15 @@ class Executor {
   // Pops one task for worker `self` (own deque back, admission queue
   // front, then steal from victims front). Returns false when every queue
   // is empty at the time of the scan.
-  bool TryRunOne(int self) RESINFER_EXCLUDES(admission_mu_, idle_mu_);
-  void WorkerLoop(int self) RESINFER_EXCLUDES(admission_mu_, idle_mu_);
+  bool TryRunOne(int self) RESINFER_EXCLUDES(admission_mu_);
+  void WorkerLoop(int self) RESINFER_EXCLUDES(admission_mu_);
+  // True when a parked worker must get up: a task is pending, or Shutdown
+  // has begun and nothing is running (time to check for exit).
+  bool HasWakeReason() const;
+  // Sleeps until HasWakeReason may have become true (see the header).
+  void Park();
+  // Wakes one parked worker, or all of them; never blocks.
+  void Wake(bool all);
 
   std::vector<std::unique_ptr<Worker>> workers_;
 
@@ -132,11 +150,13 @@ class Executor {
   // reach zero, so task-spawned tasks always run.
   std::atomic<int64_t> running_{0};
 
-  // Lock order: shutdown_mu_ before idle_mu_ (Shutdown takes both);
+  // The parking eventcount: workers registered to sleep, and the futex
+  // word they sleep on, bumped by every wake that finds a sleeper.
+  std::atomic<int32_t> sleepers_{0};
+  std::atomic<uint32_t> epoch_{0};
+
   // admission_mu_ and the per-worker mus are leaves, never held across
   // another acquisition.
-  util::Mutex idle_mu_ RESINFER_ACQUIRED_AFTER(shutdown_mu_);
-  util::CondVar idle_cv_;
   std::atomic<bool> shutdown_{false};
   util::Mutex shutdown_mu_;  // serializes Shutdown; guards joined_
   bool joined_ RESINFER_GUARDED_BY(shutdown_mu_) = false;

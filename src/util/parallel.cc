@@ -73,6 +73,30 @@ void ParallelFor(int64_t n,
   for (auto& w : workers) w.join();
 }
 
+namespace {
+
+// fn(i, t) for i in [0, n) on `threads` threads that claim `grain` indices
+// per atomic increment; the caller has checked threads > 1.
+void RunDynamic(int64_t n, int threads, int64_t grain,
+                const std::function<void(int64_t, int)>& fn) {
+  std::atomic<int64_t> next{0};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&next, &fn, n, grain, t] {
+      while (true) {
+        int64_t begin = next.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= n) return;
+        int64_t end = std::min<int64_t>(begin + grain, n);
+        for (int64_t i = begin; i < end; ++i) fn(i, t);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+}
+
+}  // namespace
+
 void ParallelForEach(int64_t n,
                      const std::function<void(int64_t, int)>& fn) {
   if (n <= 0) return;
@@ -81,23 +105,20 @@ void ParallelForEach(int64_t n,
     for (int64_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }
-  std::atomic<int64_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&next, &fn, n, t] {
-      // Grab moderately sized batches to amortize the atomic increment
-      // while keeping load balanced for skewed per-item costs.
-      constexpr int64_t kBatch = 64;
-      while (true) {
-        int64_t begin = next.fetch_add(kBatch, std::memory_order_relaxed);
-        if (begin >= n) return;
-        int64_t end = std::min<int64_t>(begin + kBatch, n);
-        for (int64_t i = begin; i < end; ++i) fn(i, t);
-      }
-    });
+  // Grab moderately sized batches to amortize the atomic increment while
+  // keeping load balanced for skewed per-item costs.
+  RunDynamic(n, threads, /*grain=*/64, fn);
+}
+
+void ParallelForEachCostly(int64_t n, int threads,
+                           const std::function<void(int64_t, int)>& fn) {
+  if (n <= 0) return;
+  threads = static_cast<int>(std::min<int64_t>(threads, n));
+  if (threads <= 1) {
+    for (int64_t i = 0; i < n; ++i) fn(i, 0);
+    return;
   }
-  for (auto& w : workers) w.join();
+  RunDynamic(n, threads, /*grain=*/1, fn);
 }
 
 }  // namespace resinfer

@@ -34,6 +34,15 @@ void ParallelFor(int64_t n,
 void ParallelForEach(
     int64_t n, const std::function<void(int64_t index, int thread_id)>& fn);
 
+// fn(i, thread_id) for i in [0, n) on at most `threads` threads, so
+// thread_id < threads and callers can size per-thread state up front.
+// Hands out one index at a time: for short loops of costly items (one HNSW
+// insertion each), where ParallelForEach's 64-item grain would leave
+// threads idle. Runs inline when n or threads is at most one.
+void ParallelForEachCostly(
+    int64_t n, int threads,
+    const std::function<void(int64_t index, int thread_id)>& fn);
+
 }  // namespace resinfer
 
 #endif  // RESINFER_UTIL_PARALLEL_H_

@@ -6,6 +6,8 @@
 #include <climits>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "linalg/pca.h"
 #include "test_util.h"
 #include "util/binary_io.h"
+#include "util/parallel.h"
 
 namespace resinfer::index {
 namespace {
@@ -171,6 +174,56 @@ TEST(HnswIndexTest, GraphBytesPositive) {
   data::Dataset ds = testing::SmallDataset(200, 8, 1.0, 57, 2, 2);
   HnswIndex index = HnswIndex::Build(ds.base, SmallOptions());
   EXPECT_GT(index.GraphBytes(), 0);
+}
+
+// --- Batched construction ---------------------------------------------------
+// n = 3000 lies beyond the serial prefix, so most nodes insert in parallel
+// batches.
+
+std::string SavedBytes(const HnswIndex& index) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("resinfer_hnsw_saved_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  {
+    BinaryWriter writer(path);
+    index.SaveTo(writer);
+    EXPECT_TRUE(writer.Close());
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+TEST(HnswIndexTest, BuildIsIndependentOfThreadCount) {
+  data::Dataset ds = testing::SmallDataset(3000, 24, 1.0, 61, 4, 2);
+  std::vector<std::string> saved;
+  for (int threads : {1, 2, 4}) {
+    SetDefaultThreadCount(threads);
+    saved.push_back(SavedBytes(HnswIndex::Build(ds.base, SmallOptions())));
+  }
+  SetDefaultThreadCount(0);
+  ASSERT_FALSE(saved[0].empty());
+  EXPECT_TRUE(saved[1] == saved[0]) << "2 threads built another graph";
+  EXPECT_TRUE(saved[2] == saved[0]) << "4 threads built another graph";
+}
+
+TEST(HnswIndexTest, BatchedBuildKeepsDegreeAndRecall) {
+  data::Dataset ds = testing::SmallDataset(3000, 24, 1.0, 62, 16, 4);
+  HnswOptions options = SmallOptions();
+  HnswIndex index = HnswIndex::Build(ds.base, options);
+  int isolated = 0;
+  for (int64_t i = 0; i < index.size(); ++i) {
+    int count = 0;
+    index.NeighborsAtBase(i, &count);
+    EXPECT_LE(count, 2 * options.M);
+    EXPECT_GE(count, 0);
+    if (count == 0) ++isolated;
+  }
+  EXPECT_LE(isolated, 1);
+  EXPECT_GT(HnswRecall(ds, index, 10, 128), 0.95);
 }
 
 // --- Scratch contract -------------------------------------------------------

@@ -28,6 +28,26 @@ TEST(ParallelTest, ParallelForEachCoversRangeExactlyOnce) {
   for (int64_t i = 0; i < kN; ++i) EXPECT_EQ(touched[i].load(), 1);
 }
 
+TEST(ParallelTest, ParallelForEachCostlyStaysWithinItsThreads) {
+  // Callers size per-thread state by `threads`, so every thread_id must
+  // stay below it, and short ranges still cover every index once.
+  for (int threads : {1, 3}) {
+    for (int64_t n : {0, 1, 2, 7, 128}) {
+      std::vector<std::atomic<int>> touched(static_cast<std::size_t>(n));
+      std::atomic<int> out_of_range{0};
+      ParallelForEachCostly(n, threads, [&](int64_t i, int thread_id) {
+        if (thread_id < 0 || thread_id >= threads) out_of_range.fetch_add(1);
+        touched[static_cast<std::size_t>(i)].fetch_add(1);
+      });
+      EXPECT_EQ(out_of_range.load(), 0) << "threads=" << threads;
+      for (int64_t i = 0; i < n; ++i) {
+        EXPECT_EQ(touched[static_cast<std::size_t>(i)].load(), 1)
+            << "threads=" << threads << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
 TEST(ParallelTest, EmptyAndSmallRanges) {
   int calls = 0;
   ParallelFor(0, [&](int64_t, int64_t) { ++calls; });
