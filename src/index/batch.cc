@@ -1,13 +1,10 @@
 #include "index/batch.h"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <numeric>
 #include <utility>
 
 #include "quant/kmeans.h"
-#include "serve/executor.h"
 #include "util/macros.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -76,61 +73,24 @@ BatchResult RunBatchGrouped(const ComputerFactory& factory,
     RESINFER_CHECK(w.computer->dim() == queries.cols());
   }
 
-  // Exception containment: a throwing search callback must not
-  // std::terminate the executor (an exception escaping a task would). The
-  // first thrower wins the abort flag and stashes its exception; the
-  // remaining group tasks see the flag and complete without processing
-  // (so the WaitGroup always drains), and the winner's exception is
-  // rethrown on the caller thread after the executor quiesces.
-  std::atomic<bool> abort_flag{false};
-  std::exception_ptr first_exception;
+  // Groups are handed out one at a time, so a worker that drew cheap
+  // groups (DDC pruning makes some queries 10x cheaper than others) takes
+  // more of them instead of idling behind a straggler. A throwing search
+  // stops the hand-out; its exception is rethrown here after the join.
   WallTimer wall;
-  {
-    // The groups are pre-distributed round-robin across the per-worker
-    // deques; a worker that finishes its share early steals from the
-    // stragglers, which is what keeps skewed query costs from idling
-    // threads (the job the old atomic cursor did, now shared with the
-    // online serving path).
-    serve::Executor::Options executor_options;
-    executor_options.num_threads = threads;
-    serve::Executor executor(executor_options);
-    serve::WaitGroup wait;
-    wait.Add(num_groups);
-    for (int64_t group = 0; group < num_groups; ++group) {
-      const int64_t begin = group * group_size;
-      const int64_t count = std::min(group_size, num_queries - begin);
-      executor.SubmitTo(
-          static_cast<int>(group % threads),
-          [&, begin, count](int worker_index) {
-            WorkerState& state =
-                workers[static_cast<std::size_t>(worker_index)];
-            if (abort_flag.load(std::memory_order_acquire)) {
-              wait.Done();
-              return;
-            }
-            WallTimer timer;
-            try {
-              search(*state.computer, queries, begin, count,
-                     batch.results.data() + begin);
-            } catch (...) {
-              if (!abort_flag.exchange(true, std::memory_order_acq_rel)) {
-                first_exception = std::current_exception();
-              }
-              wait.Done();
-              return;
-            }
-            const double elapsed = timer.ElapsedSeconds();
-            state.group_latency.Add(elapsed);
-            state.group_sizes.Add(static_cast<double>(count));
-            if (count == 1) state.latency.Add(elapsed);
-            state.busy_seconds += elapsed;
-            wait.Done();
-          });
-    }
-    wait.Wait();
-    executor.Shutdown();
-  }
-  if (first_exception != nullptr) std::rethrow_exception(first_exception);
+  ParallelForEachCostly(num_groups, threads, [&](int64_t group, int worker) {
+    WorkerState& state = workers[static_cast<std::size_t>(worker)];
+    const int64_t begin = group * group_size;
+    const int64_t count = std::min(group_size, num_queries - begin);
+    WallTimer timer;
+    search(*state.computer, queries, begin, count,
+           batch.results.data() + begin);
+    const double elapsed = timer.ElapsedSeconds();
+    state.group_latency.Add(elapsed);
+    state.group_sizes.Add(static_cast<double>(count));
+    if (count == 1) state.latency.Add(elapsed);
+    state.busy_seconds += elapsed;
+  });
   batch.wall_seconds = wall.ElapsedSeconds();
 
   batch.worker_busy_seconds.reserve(workers.size());
@@ -175,7 +135,7 @@ BatchResult BatchSearchIvf(const IvfIndex& index,
   // bucket first, then agreeing tails — and hand the precomputed lists to
   // SearchBatchRange so the ranking isn't paid twice. The sort is stable,
   // so equal probe lists keep the caller's order.
-  WallTimer wall;  // includes grouping prep, unlike the pool-only timer
+  WallTimer wall;  // includes grouping prep, unlike RunBatchGrouped's
   const int64_t num_queries = queries.rows();
   const int nprobe_used = std::clamp(nprobe, 1, index.num_clusters());
   std::vector<int32_t> probes(
@@ -242,9 +202,9 @@ BatchResult BatchSearchHnsw(const HnswIndex& index,
   return RunBatch(
       factory, queries,
       [&index, k, ef](DistanceComputer& computer, const float* query) {
-        // One scratch per worker thread (executor threads live for one
-        // batch), so the traversal is allocation-free after each worker's
-        // first query.
+        // One scratch per worker thread (the caller's persists across
+        // batches, the others live for one), so the traversal is
+        // allocation-free after each worker's first query.
         thread_local HnswScratch scratch;
         return index.Search(computer, query, k, ef, &scratch);
       },

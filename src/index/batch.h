@@ -2,13 +2,12 @@
 //
 // DistanceComputers are stateful per query, so concurrent search needs one
 // computer per thread. RunBatch owns that pattern: it builds a computer per
-// worker from a caller-supplied factory, pre-distributes the query groups
-// round-robin across the serving executor's per-worker deques (queries
-// vary wildly in cost under DDC pruning, so imbalance is corrected by work
-// stealing — see serve/executor.h), and aggregates latencies and computer
+// worker from a caller-supplied factory, hands the query groups out one at
+// a time through ParallelForEachCostly (util/parallel.h; queries vary
+// wildly in cost under DDC pruning, so a fixed split would leave workers
+// idle behind a straggler), and aggregates latencies and computer
 // statistics. Convenience wrappers cover the three indexes. Online
-// (non-pre-materialized) traffic takes the same executor through
-// serve/admission.h instead.
+// (non-pre-materialized) traffic goes through serve/admission.h instead.
 //
 // Results are deterministic: result row q is always the answer to query q
 // regardless of which worker served it.

@@ -10,7 +10,7 @@
 //   index/   — DistanceComputer plug-in interface, Flat / IVF / HNSW
 //   core/    — the paper's contribution: ADSampling, DDCres, DDCpca,
 //              DDCopq, FINGER baseline, MethodFactory
-//   serve/   — online serving: work-stealing executor, coalescing
+//   serve/   — online serving: FIFO worker executor, coalescing
 //              admission (IvfServer)
 #ifndef RESINFER_RESINFER_H_
 #define RESINFER_RESINFER_H_

@@ -12,7 +12,7 @@
 // never paid twice) and files the request under the coalescing key
 // (k, nprobe, lead centroid). Requests sharing a key accumulate into a
 // pending group. Admission is work-conserving: a group is dispatched to
-// the work-stealing executor when
+// the executor's FIFO (serve/executor.h) when
 //
 //   * a worker is free: fewer than num_threads groups are in flight (the
 //     oldest pending group goes, from Submit or from the worker that just

@@ -36,26 +36,6 @@ void FutexWake(std::atomic<uint32_t>* word, int count) {
 
 }  // namespace
 
-void WaitGroup::Add(int64_t n) {
-  RESINFER_CHECK(n >= 0);
-  util::MutexLock lock(mu_);
-  outstanding_ += n;
-}
-
-void WaitGroup::Done() {
-  util::MutexLock lock(mu_);
-  RESINFER_CHECK(outstanding_ > 0);
-  if (--outstanding_ == 0) cv_.NotifyAll();
-}
-
-void WaitGroup::Wait() {
-  util::MutexLock lock(mu_);
-  // Inline predicate loop (not the lambda-predicate overload): the analysis
-  // does not propagate lock state into lambda bodies, so reading
-  // outstanding_ from a closure would defeat the GUARDED_BY contract.
-  while (outstanding_ != 0) cv_.Wait(mu_);
-}
-
 Executor::Executor() : Executor(Options()) {}
 
 Executor::Executor(const Options& options) {
@@ -64,7 +44,7 @@ Executor::Executor(const Options& options) {
   for (int t = 0; t < threads; ++t) {
     workers_.push_back(std::make_unique<Worker>());
   }
-  // Start after every Worker exists: a worker scans all sibling deques.
+  // Start once workers_ is complete: running workers index into it.
   for (int t = 0; t < threads; ++t) {
     workers_[static_cast<std::size_t>(t)]->thread =
         std::thread(&Executor::WorkerLoop, this, t);
@@ -76,75 +56,32 @@ Executor::~Executor() { Shutdown(); }
 void Executor::Submit(Task task) {
   RESINFER_CHECK(task != nullptr);
   {
-    util::MutexLock lock(admission_mu_);
-    admission_.push_back(std::move(task));
+    util::MutexLock lock(queue_mu_);
+    queue_.push_back(std::move(task));
   }
   pending_.fetch_add(1);
   Wake(/*all=*/false);
 }
 
-void Executor::SubmitTo(int worker, Task task) {
-  RESINFER_CHECK(task != nullptr);
-  RESINFER_CHECK(worker >= 0 && worker < num_threads());
-  Worker& w = *workers_[static_cast<std::size_t>(worker)];
-  {
-    util::MutexLock lock(w.mu);
-    w.deque.push_back(std::move(task));
-  }
-  pending_.fetch_add(1);
-  Wake(/*all=*/true);  // the owner or any potential thief may be asleep
-}
-
 bool Executor::TryRunOne(int self) {
-  Worker& me = *workers_[static_cast<std::size_t>(self)];
   Task task;
-  bool stolen = false;
-  bool admitted = false;
-
-  // 1. Own deque, LIFO end.
   {
-    util::MutexLock lock(me.mu);
-    if (!me.deque.empty()) {
-      task = std::move(me.deque.back());
-      me.deque.pop_back();
-    }
+    util::MutexLock lock(queue_mu_);
+    if (queue_.empty()) return false;
+    task = std::move(queue_.front());
+    queue_.pop_front();
   }
-  // 2. Shared admission queue, FIFO.
-  if (task == nullptr) {
-    util::MutexLock lock(admission_mu_);
-    if (!admission_.empty()) {
-      task = std::move(admission_.front());
-      admission_.pop_front();
-      admitted = true;
-    }
-  }
-  // 3. Steal FIFO from the first victim with work, scanning round-robin
-  // from the next worker so thieves spread across victims.
-  if (task == nullptr) {
-    const int n = num_threads();
-    for (int i = 1; i < n && task == nullptr; ++i) {
-      Worker& victim = *workers_[static_cast<std::size_t>((self + i) % n)];
-      util::MutexLock lock(victim.mu);
-      if (!victim.deque.empty()) {
-        task = std::move(victim.deque.front());
-        victim.deque.pop_front();
-        stolen = true;
-      }
-    }
-  }
-  if (task == nullptr) return false;
 
   // Count the task running before it stops counting as pending, so the
   // two never read zero together while a task is in hand.
   running_.fetch_add(1);
   pending_.fetch_sub(1);
+  Worker& me = *workers_[static_cast<std::size_t>(self)];
   WallTimer timer;
   task(self);
   me.busy_nanos.fetch_add(static_cast<int64_t>(timer.ElapsedSeconds() * 1e9),
                           std::memory_order_relaxed);
   me.executed.fetch_add(1, std::memory_order_relaxed);
-  if (stolen) me.stolen.fetch_add(1, std::memory_order_relaxed);
-  if (admitted) me.admitted.fetch_add(1, std::memory_order_relaxed);
   if (running_.fetch_sub(1) == 1 && shutdown_.load()) {
     // Possibly the last task of a drain: workers parked waiting for
     // quiescence must re-check the exit condition.
@@ -206,8 +143,6 @@ Executor::Stats Executor::stats() const {
   stats.busy_seconds.reserve(workers_.size());
   for (const auto& w : workers_) {
     stats.executed += w->executed.load(std::memory_order_relaxed);
-    stats.stolen += w->stolen.load(std::memory_order_relaxed);
-    stats.admitted += w->admitted.load(std::memory_order_relaxed);
     stats.busy_seconds.push_back(
         static_cast<double>(w->busy_nanos.load(std::memory_order_relaxed)) *
         1e-9);

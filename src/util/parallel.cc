@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -34,6 +35,37 @@ int EnvThreadCount() {
   }
   return 0;
 }
+
+// The one fork-join loop: fn(i, t) for i in [0, n) on `threads` threads,
+// the caller running as t = 0 beside threads - 1 started for this call.
+// Each thread claims `grain` indices per atomic increment. The first
+// exception stops the hand-out and is rethrown on the caller once every
+// thread has joined.
+void ForkJoin(int64_t n, int threads, int64_t grain,
+              const std::function<void(int64_t, int)>& fn) {
+  std::atomic<int64_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // written by the first thrower only
+  const auto work = [&](int t) {
+    try {
+      int64_t begin;
+      while ((begin = next.fetch_add(grain, std::memory_order_relaxed)) < n) {
+        const int64_t end = std::min(begin + grain, n);
+        for (int64_t i = begin; i < end; ++i) fn(i, t);
+      }
+    } catch (...) {
+      if (!failed.exchange(true)) error = std::current_exception();
+      next.store(n, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> workers;
+  workers.reserve(static_cast<std::size_t>(threads - 1));
+  for (int t = 1; t < threads; ++t) workers.emplace_back(work, t);
+  work(0);
+  for (auto& w : workers) w.join();
+  if (error != nullptr) std::rethrow_exception(error);
+}
+
 }  // namespace
 
 int DefaultThreadCount() {
@@ -56,69 +88,31 @@ void SetDefaultThreadCount(int threads) {
 void ParallelFor(int64_t n,
                  const std::function<void(int64_t, int64_t)>& fn) {
   if (n <= 0) return;
-  int threads = std::min<int64_t>(DefaultThreadCount(), n);
-  if (threads <= 1 || n < 1024) {
-    fn(0, n);
-    return;
-  }
-  int64_t chunk = (n + threads - 1) / threads;
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    int64_t begin = t * chunk;
-    int64_t end = std::min<int64_t>(begin + chunk, n);
-    if (begin >= end) break;
-    workers.emplace_back([&fn, begin, end] { fn(begin, end); });
-  }
-  for (auto& w : workers) w.join();
+  const int64_t threads =
+      n < 1024 ? 1 : std::min<int64_t>(DefaultThreadCount(), n);
+  const int64_t chunk = (n + threads - 1) / threads;
+  const int64_t chunks = (n + chunk - 1) / chunk;
+  ForkJoin(chunks, static_cast<int>(chunks), /*grain=*/1,
+           [&fn, n, chunk](int64_t c, int) {
+             fn(c * chunk, std::min(c * chunk + chunk, n));
+           });
 }
-
-namespace {
-
-// fn(i, t) for i in [0, n) on `threads` threads that claim `grain` indices
-// per atomic increment; the caller has checked threads > 1.
-void RunDynamic(int64_t n, int threads, int64_t grain,
-                const std::function<void(int64_t, int)>& fn) {
-  std::atomic<int64_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&next, &fn, n, grain, t] {
-      while (true) {
-        int64_t begin = next.fetch_add(grain, std::memory_order_relaxed);
-        if (begin >= n) return;
-        int64_t end = std::min<int64_t>(begin + grain, n);
-        for (int64_t i = begin; i < end; ++i) fn(i, t);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-}
-
-}  // namespace
 
 void ParallelForEach(int64_t n,
                      const std::function<void(int64_t, int)>& fn) {
   if (n <= 0) return;
-  int threads = std::min<int64_t>(DefaultThreadCount(), n);
-  if (threads <= 1 || n < 256) {
-    for (int64_t i = 0; i < n; ++i) fn(i, 0);
-    return;
-  }
-  // Grab moderately sized batches to amortize the atomic increment while
-  // keeping load balanced for skewed per-item costs.
-  RunDynamic(n, threads, /*grain=*/64, fn);
+  const int threads = static_cast<int>(
+      n < 256 ? 1 : std::min<int64_t>(DefaultThreadCount(), n));
+  // Moderately sized grains amortize the atomic increment while keeping
+  // load balanced for skewed per-item costs.
+  ForkJoin(n, threads, /*grain=*/64, fn);
 }
 
 void ParallelForEachCostly(int64_t n, int threads,
                            const std::function<void(int64_t, int)>& fn) {
   if (n <= 0) return;
-  threads = static_cast<int>(std::min<int64_t>(threads, n));
-  if (threads <= 1) {
-    for (int64_t i = 0; i < n; ++i) fn(i, 0);
-    return;
-  }
-  RunDynamic(n, threads, /*grain=*/1, fn);
+  ForkJoin(n, static_cast<int>(std::clamp<int64_t>(threads, 1, n)),
+           /*grain=*/1, fn);
 }
 
 }  // namespace resinfer

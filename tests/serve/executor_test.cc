@@ -1,7 +1,6 @@
-// Work-stealing executor conformance: every task runs exactly once no
-// matter which queue it entered through, imbalance is corrected by
-// stealing, task-spawned tasks are always drained, and shutdown is clean
-// with work still queued. The CI TSan job runs this suite — the scheduling
+// Serving executor conformance: every task runs exactly once, task-spawned
+// tasks are always drained, no wake is lost, and shutdown is clean with
+// work still queued. The CI TSan job runs this suite — the scheduling
 // assertions double as race detectors.
 #include "serve/executor.h"
 
@@ -24,68 +23,18 @@ TEST(ServeExecutorTest, ExecutesEverySubmittedTaskExactlyOnce) {
   Executor executor(options);
   constexpr int kTasks = 200;
   std::vector<std::atomic<int>> ran(kTasks);
-  WaitGroup wait;
-  wait.Add(kTasks);
   for (int i = 0; i < kTasks; ++i) {
     executor.Submit([&, i](int worker) {
       EXPECT_GE(worker, 0);
       EXPECT_LT(worker, 3);
       ran[i].fetch_add(1);
-      wait.Done();
     });
   }
-  wait.Wait();
-  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
   executor.Shutdown();
+  for (int i = 0; i < kTasks; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
   Executor::Stats stats = executor.stats();
   EXPECT_EQ(stats.executed, kTasks);
-  EXPECT_EQ(stats.admitted, kTasks);  // all entered via the shared queue
   ASSERT_EQ(stats.busy_seconds.size(), 3u);
-}
-
-TEST(ServeExecutorTest, SubmitToPreDistributesAcrossDeques) {
-  Executor::Options options;
-  options.num_threads = 2;
-  Executor executor(options);
-  constexpr int kTasks = 100;
-  std::atomic<int> ran{0};
-  WaitGroup wait;
-  wait.Add(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    executor.SubmitTo(i % 2, [&](int) {
-      ran.fetch_add(1);
-      wait.Done();
-    });
-  }
-  wait.Wait();
-  EXPECT_EQ(ran.load(), kTasks);
-}
-
-TEST(ServeExecutorTest, IdleWorkerStealsFromSkewedDeque) {
-  // Every task lands on worker 0's deque and each costs ~1ms, so the
-  // backlog stays non-empty for tens of milliseconds no matter how
-  // submission interleaves with execution (this box may have one core).
-  // Worker 1's own deque never receives work: any progress it makes is a
-  // steal, and the slow victim guarantees it gets the chance.
-  Executor::Options options;
-  options.num_threads = 2;
-  Executor executor(options);
-  constexpr int kTasks = 64;
-  std::atomic<int> ran_on_other{0};
-  WaitGroup wait;
-  wait.Add(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    executor.SubmitTo(0, [&](int worker) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      if (worker != 0) ran_on_other.fetch_add(1);
-      wait.Done();
-    });
-  }
-  wait.Wait();
-  executor.Shutdown();
-  EXPECT_GT(ran_on_other.load(), 0);
-  EXPECT_GT(executor.stats().stolen, 0);
-  EXPECT_EQ(executor.stats().executed, kTasks);
 }
 
 TEST(ServeExecutorTest, TaskSpawnedTasksAreDrainedByShutdown) {
@@ -138,13 +87,9 @@ TEST(ServeExecutorTest, BusyTimeAccumulatesWhereWorkRan) {
   Executor::Options options;
   options.num_threads = 2;
   Executor executor(options);
-  WaitGroup wait;
-  wait.Add(1);
   executor.Submit([&](int) {
     std::this_thread::sleep_for(std::chrono::milliseconds(15));
-    wait.Done();
   });
-  wait.Wait();
   executor.Shutdown();
   double total_busy = 0.0;
   for (double b : executor.stats().busy_seconds) total_busy += b;
@@ -181,10 +126,10 @@ TEST(ServeExecutorTest, NoLostWakeupUnderPingPong) {
 }
 
 TEST(ServeExecutorTest, ShutdownRacesTaskSpawnedSubmits) {
-  // Chains of tasks, each link submitting the next through Submit or
-  // SubmitTo, race a Shutdown that begins while the chains are still
-  // growing. The drain must run every link: Shutdown may not finish while
-  // a running task can still enqueue work. A slow task outlives the
+  // Chains of tasks, each link submitting the next through Submit, race a
+  // Shutdown that begins while the chains are still growing. The drain
+  // must run every link: Shutdown may not finish while a running task can
+  // still enqueue work. A slow task outlives the
   // chains, so the other workers park until it ends; the end of the drain
   // must wake them, or Shutdown never returns.
   constexpr int kChains = 16;
@@ -194,18 +139,13 @@ TEST(ServeExecutorTest, ShutdownRacesTaskSpawnedSubmits) {
     options.num_threads = 3;
     Executor executor(options);
     std::atomic<int> ran{0};
-    std::function<void(int, int)> link = [&](int worker, int remaining) {
+    std::function<void(int, int)> link = [&](int /*worker*/, int remaining) {
       ran.fetch_add(1);
       if (remaining == 0) return;
       if (remaining % 7 == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
-      const auto next = [&link, remaining](int w) { link(w, remaining - 1); };
-      if (remaining % 2 == 0) {
-        executor.Submit(next);
-      } else {
-        executor.SubmitTo((worker + 1) % 3, next);
-      }
+      executor.Submit([&link, remaining](int w) { link(w, remaining - 1); });
     };
     executor.Submit([&ran](int) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -219,20 +159,6 @@ TEST(ServeExecutorTest, ShutdownRacesTaskSpawnedSubmits) {
     EXPECT_EQ(executor.stats().executed, kChains * kLinks + 1)
         << "trial " << trial;
   }
-}
-
-TEST(ServeExecutorTest, WaitGroupIsReusable) {
-  WaitGroup wait;
-  wait.Add(2);
-  std::thread a([&] { wait.Done(); });
-  std::thread b([&] { wait.Done(); });
-  wait.Wait();
-  a.join();
-  b.join();
-  wait.Add(1);
-  std::thread c([&] { wait.Done(); });
-  wait.Wait();
-  c.join();
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
+#include <typeinfo>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -45,6 +48,70 @@ TEST(ParallelTest, ParallelForEachCostlyStaysWithinItsThreads) {
             << "threads=" << threads << " n=" << n << " i=" << i;
       }
     }
+  }
+}
+
+TEST(ParallelTest, ThrowingFnRethrowsOnCallerAndNextCallRuns) {
+  // A throw on a started thread would std::terminate if it escaped the
+  // thread body; the loop must hand it to the caller instead, at one thread
+  // (inline) and at several, and leave nothing behind that upsets the
+  // next call.
+  for (int threads : {1, 4}) {
+    SetDefaultThreadCount(threads);
+    EXPECT_THROW(ParallelFor(10000,
+                             [](int64_t begin, int64_t) {
+                               if (begin == 0) throw std::runtime_error("a");
+                             }),
+                 std::runtime_error)
+        << "threads=" << threads;
+    EXPECT_THROW(ParallelForEach(5000,
+                                 [](int64_t i, int) {
+                                   if (i == 300) throw std::logic_error("b");
+                                 }),
+                 std::logic_error)
+        << "threads=" << threads;
+    EXPECT_THROW(ParallelForEachCostly(64, threads,
+                                       [](int64_t i, int) {
+                                         if (i % 8 == 3) throw std::bad_cast();
+                                       }),
+                 std::bad_cast)
+        << "threads=" << threads;
+
+    std::atomic<int64_t> sum{0};
+    ParallelFor(10000, [&](int64_t begin, int64_t end) {
+      sum.fetch_add(end - begin);
+    });
+    ParallelForEach(5000, [&](int64_t, int) { sum.fetch_add(1); });
+    ParallelForEachCostly(64, threads,
+                          [&](int64_t, int) { sum.fetch_add(1); });
+    EXPECT_EQ(sum.load(), 10000 + 5000 + 64) << "threads=" << threads;
+  }
+  SetDefaultThreadCount(0);
+}
+
+TEST(ParallelTest, ThreadZeroIsTheCaller) {
+  // The caller takes part as thread_id 0, so per-thread state slot 0 and
+  // the caller's thread_locals are the same thread's. The other threads
+  // hold their first index until thread 0 has run one, so the caller is
+  // certain to get work however the threads are scheduled.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int threads : {1, 3}) {
+    std::atomic<bool> zero_ran{false};
+    std::atomic<int> zero_elsewhere{0};
+    std::atomic<int> others_on_caller{0};
+    ParallelForEachCostly(64, threads, [&](int64_t, int thread_id) {
+      const bool on_caller = std::this_thread::get_id() == caller;
+      if (thread_id == 0) {
+        if (!on_caller) zero_elsewhere.fetch_add(1);
+        zero_ran.store(true);
+        return;
+      }
+      if (on_caller) others_on_caller.fetch_add(1);
+      while (!zero_ran.load()) std::this_thread::yield();
+    });
+    EXPECT_TRUE(zero_ran.load()) << "threads=" << threads;
+    EXPECT_EQ(zero_elsewhere.load(), 0) << "threads=" << threads;
+    EXPECT_EQ(others_on_caller.load(), 0) << "threads=" << threads;
   }
 }
 

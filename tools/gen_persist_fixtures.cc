@@ -246,7 +246,20 @@ bool WriteHnswV1(const std::string& path) {
 }  // namespace resinfer
 
 int main(int argc, char** argv) {
-  const std::string dir = argc > 1 ? argv[1] : "tests/persist/testdata";
+  static const char kUsage[] =
+      "usage: gen_persist_fixtures [OUT_DIR]\n"
+      "Writes the persist fixture files into OUT_DIR (default\n"
+      "tests/persist/testdata), which must exist.\n";
+  const std::string arg = argc > 1 ? argv[1] : "";
+  if (argc == 2 && (arg == "-h" || arg == "--help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  if (argc > 2 || (argc == 2 && (arg.empty() || arg[0] == '-'))) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  const std::string dir = argc > 1 ? arg : "tests/persist/testdata";
   const resinfer::linalg::Matrix centroids = resinfer::FixtureCentroids();
   if (!resinfer::WriteV1(dir + "/ivf_v1.bin", centroids) ||
       !resinfer::WriteV2(dir + "/ivf_v2.bin", centroids) ||
